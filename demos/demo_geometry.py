@@ -47,5 +47,5 @@ print(f"  d = {format_dim_vector(d)}")
 print(f"  <d, d> = {q}")
 print(f"  <d, d> + p*(d0 - dinf) = {q + p * p}  (< 0: the criterion fails)")
 print()
-print("  At desk scale the same failure is visible by dynamic programming:")
+print("  At desk scale the same failure is visible in the slice minimum:")
 print(f"  ci_defect(p=12) = {ci_defect(t, 12)}")

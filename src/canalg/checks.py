@@ -173,10 +173,10 @@ def geometry_suite(t: CanonicalType, pmax: int = 4) -> list[CheckResult]:
     for p in range(1, pmax + 1):
         if t.product <= 60 and p <= 4:
             naive_defect, naive_eq = geometry.equality_vectors_naive(t, p)
-            dp_defect = geometry.ci_defect(t, p)
-            ok = naive_defect == dp_defect
-            detail = "" if ok else f"p={p}: DP {dp_defect} vs naive {naive_defect}"
-            if ok and dp_defect >= 0:
+            defect = geometry.ci_defect(t, p)
+            ok = naive_defect == defect
+            detail = "" if ok else f"p={p}: closed form {defect} vs naive {naive_defect}"
+            if ok and defect >= 0:
                 comps = geometry.irreducible_components(t, p)
                 ok = [d.sort_key() for d in comps] == sorted(d.sort_key() for d in naive_eq)
                 detail = "" if ok else f"p={p}: component sets differ"

@@ -2,7 +2,8 @@
 
 One process, one query.  Results go to stdout (text or JSON), diagnostics to
 stderr.  Exit codes: 0 success, 1 a checked property failed, 2 invalid input
-or a request outside the proved range.
+or a request outside the proved range, 3 an internal error (a bug; the
+message names the exception).
 """
 
 from __future__ import annotations
@@ -13,13 +14,16 @@ import sys
 from fractions import Fraction
 
 from . import checks, geometry, oracle, zeroset
-from .cones import EnumerationCapExceeded
+from .cones import DEFAULT_CAP, EnumerationCapExceeded
 from .forms import CanonicalType, format_dim_vector
 from .zeroset import OutsideProvenRange
 
 
-def _parse_type(text: str) -> CanonicalType:
-    return CanonicalType.parse(text)
+def _rational(option: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{option} takes rationals such as 2 or -3/4, got {text!r}") from None
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -36,7 +40,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def cmd_classify(args) -> int:
-    t = _parse_type(args.type)
+    t = CanonicalType.parse(args.type)
     boundary, repr_type = geometry.classify_type(t)
     try:
         threshold = zeroset.zeroset_threshold(t)
@@ -58,7 +62,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_ci(args) -> int:
-    t = _parse_type(args.type)
+    t = CanonicalType.parse(args.type)
     report = geometry.GeometryReport.compute(t, args.p, cap=args.cap)
     payload = {
         "p": report.p,
@@ -72,7 +76,7 @@ def cmd_ci(args) -> int:
 
 
 def cmd_components(args) -> int:
-    t = _parse_type(args.type)
+    t = CanonicalType.parse(args.type)
     comps = geometry.irreducible_components(t, args.p, cap=args.cap)
     payload = {
         "p": args.p,
@@ -84,14 +88,14 @@ def cmd_components(args) -> int:
 
 
 def cmd_zeroset(args) -> int:
-    t = _parse_type(args.type)
+    t = CanonicalType.parse(args.type)
     report = zeroset.ZeroSetReport.compute(t, args.p, cap=args.cap)
     _emit(report.to_dict(), args.format)
     return 0
 
 
 def cmd_witness(args) -> int:
-    t = _parse_type(args.type)
+    t = CanonicalType.parse(args.type)
     p, d = geometry.ci_failure_witness(t)
     from .forms import euler_quadratic
     q = euler_quadratic(t, d)
@@ -108,7 +112,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    t = _parse_type(args.type)
+    t = CanonicalType.parse(args.type)
     results = checks.run_all(t, pmax=args.pmax, seed=args.seed, samples=args.samples)
     all_ok = all(r.ok for r in results)
     if args.format == "json":
@@ -135,12 +139,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    t = _parse_type(args.type)
+    t = CanonicalType.parse(args.type)
+    if args.sizes < 1:
+        raise ValueError(f"--sizes must be >= 1, got {args.sizes}")
     if args.lambdas:
-        lam = oracle.LambdaChoice(tuple(Fraction(x) for x in args.lambdas.split(",")))
+        lam = oracle.LambdaChoice(tuple(_rational("--lambdas", x)
+                                        for x in args.lambdas.split(",")))
     else:
         lam = oracle.LambdaChoice.default_for(t)
-    mu = Fraction(args.mu) if args.mu is not None else None
+    mu = _rational("--mu", args.mu) if args.mu is not None else None
     sizes = tuple(range(1, args.sizes + 1))
     results = checks.oracle_suite(t, lam, mu, sizes=sizes, full=args.full or None)
     all_ok = all(r.ok for r in results)
@@ -170,11 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "canonical algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_p=False):
+    def common(sp, with_p=False, cap=DEFAULT_CAP):
         sp.add_argument("--type", required=True,
                         help="comma-separated arm lengths, e.g. 2,3,6")
         sp.add_argument("--format", choices=["text", "json"], default="text")
-        sp.add_argument("--cap", type=int, default=10**8,
+        sp.add_argument("--cap", type=int, default=cap,
                         help="enumeration cap; exceeding it is an error")
         if with_p:
             sp.add_argument("--p", type=int, required=True,
@@ -185,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
            with_p=True)
     common(sub.add_parser("components", help="list irreducible components"),
            with_p=True)
-    common(sub.add_parser("zeroset", help="zero-set report at level p"), with_p=True)
+    common(sub.add_parser("zeroset", help="zero-set report at level p"), with_p=True,
+           cap=zeroset.DEFAULT_ZCAP)
     common(sub.add_parser("witness", help="explicit criterion-violating vector"))
 
     sp = sub.add_parser("verify", help="run all invariant suites")
@@ -226,6 +234,10 @@ def main(argv=None) -> int:
     except (OutsideProvenRange, EnumerationCapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

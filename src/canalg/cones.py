@@ -7,6 +7,7 @@ with every arm chain nonincreasing from d0 down to dinf.  Q is the dual cone
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator
 
 from .forms import CanonicalType, DimVector, _check_shape, zero_vector
@@ -64,22 +65,12 @@ def enumerate_P(t: CanonicalType, p: int, cap: int = DEFAULT_CAP) -> Iterator[Di
     yield zero_vector(t)
     for d0 in range(1, p + 1):
         for dinf in range(d0):
-            per_arm = [list(_chains(mi - 1, d0, dinf)) for mi in t.m]
-            for combo in _product_lex(per_arm):
+            for combo in product(*(_chains(mi - 1, d0, dinf) for mi in t.m)):
                 emitted += 1
                 if emitted > cap:
                     raise EnumerationCapExceeded(
                         f"cap {cap} exceeded while enumerating P for {t}, p={p}")
                 yield DimVector(d0, dinf, combo)
-
-
-def _product_lex(pools: list[list[tuple[int, ...]]]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for tail in _product_lex(pools[1:]):
-            yield (head,) + tail
 
 
 def count_P(t: CanonicalType, p: int) -> int:

@@ -114,10 +114,6 @@ class DimVector:
         for arm in self.arms:
             yield from arm
 
-    @property
-    def arm_count(self) -> int:
-        return len(self.arms)
-
     def matches(self, t: CanonicalType) -> bool:
         return (len(self.arms) == t.n
                 and all(len(a) == mi - 1 for a, mi in zip(self.arms, t.m)))
@@ -127,9 +123,6 @@ class DimVector:
 
     def is_nonnegative(self) -> bool:
         return all(x >= 0 for x in self.entries())
-
-    def dominated_by(self, other: "DimVector") -> bool:
-        return all(x <= y for x, y in zip(self.entries(), other.entries()))
 
     def sort_key(self) -> tuple:
         return (self.d0, self.dinf, self.arms)

@@ -4,14 +4,19 @@ The complete-intersection criterion asks whether <d, d> + p*(d0 - dinf) >= 0
 for every d in P with d0 <= p; normality asks for strictness away from zero.
 Because the quadratic value is invariant under shifts by h, the search space
 collapses to slices d with dinf = 0 and d0 = s in [1, p], and within a slice
-the form splits into independent per-arm sums, each minimized by dynamic
-programming over nonincreasing integer chains.
+the form splits into independent per-arm sums.  Each arm sum is half of the
+sum of its m_i squared steps from s down to 0, minus s^2; steps summing to s
+have the least square sum when balanced, so the minimum is a closed form and
+the minimizing chains are the placements of the s mod m_i longer steps.  One
+report evaluates the slice table once, in O(n*p).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from itertools import combinations, product
+from math import comb, prod
+from typing import Literal
 
 from .cones import DEFAULT_CAP, EnumerationCapExceeded, enumerate_P
 from .forms import (CanonicalType, DimVector, basis_h, euler_quadratic,
@@ -36,68 +41,77 @@ def classify_type(t: CanonicalType) -> tuple[Boundary, ReprType]:
     return boundary, repr_type
 
 
-def _arm_costs(mi: int, s: int) -> list[dict[int, int]]:
-    """DP tables for one arm: table[j][v] = min cost of x_1..x_j with x_j = v.
-
-    Cost of a chain is sum of x_j^2 - x_j*x_{j-1} with x_0 = s; chains are
-    nonincreasing with values in [0, s].
-    """
-    tables: list[dict[int, int]] = []
-    prev = {v: v * v - v * s for v in range(s + 1)}
-    tables.append(prev)
-    for _ in range(2, mi):
-        cur: dict[int, int] = {}
-        for v in range(s + 1):
-            cur[v] = v * v + min(prev[w] - v * w for w in range(v, s + 1))
-        tables.append(cur)
-        prev = cur
-    return tables
-
-
 def _arm_min(mi: int, s: int) -> int:
-    if s == 0:
-        return 0
-    return min(_arm_costs(mi, s)[-1].values())
+    """Least cost of one arm: sum of x_j^2 - x_j*x_{j-1} over j < mi, x_0 = s.
+
+    With x_mi = 0 the cost is (sum of the mi squared steps x_{j-1} - x_j,
+    minus s^2) / 2, and the steps are nonnegative integers summing to s, so
+    the minimum takes r = s mod mi steps of q + 1 = ceil(s/mi) and the rest
+    of q = floor(s/mi).
+    """
+    q, r = divmod(s, mi)
+    return ((mi - r) * q * q + r * (q + 1) * (q + 1) - s * s) // 2
 
 
 def _arm_min_chains(mi: int, s: int) -> list[tuple[int, ...]]:
-    """All nonincreasing chains attaining the per-arm minimum."""
-    if s == 0:
-        return [tuple(0 for _ in range(mi - 1))]
-    tables = _arm_costs(mi, s)
-    target = min(tables[-1].values())
-    chains: list[tuple[int, ...]] = []
+    """All nonincreasing chains attaining the per-arm minimum, sorted.
 
-    def backtrack(j: int, v: int, need: int, suffix: tuple[int, ...]) -> None:
-        if j == 0:
-            if need == v * v - v * s:
-                chains.append((v,) + suffix)
-            return
-        for w in range(v, s + 1):
-            rest = need - (v * v - v * w)
-            if tables[j - 1].get(w) == rest:
-                backtrack(j - 1, w, rest, (v,) + suffix)
-
-    for v, cost in tables[-1].items():
-        if cost == target:
-            backtrack(len(tables) - 1, v, cost, ())
+    One chain per placement of the s mod mi long steps among the mi steps.
+    """
+    q, r = divmod(s, mi)
+    chains = []
+    for longs in combinations(range(mi), r):
+        x, chain = s, []
+        for j in range(mi - 1):
+            x -= q + (j in longs)
+            chain.append(x)
+        chains.append(tuple(chain))
     chains.sort()
     return chains
 
 
-def _slice_costs(t: CanonicalType, p: int) -> dict[int, int]:
-    """slice_costs[s] = min of <d, d> + p*s over d in P with d0 - dinf = s, dinf = 0."""
-    costs: dict[int, int] = {}
-    cache: dict[tuple[int, int], int] = {}
+def _slices(t: CanonicalType, p: int) -> tuple[int, list[int]]:
+    """Least slice cost and the tight slices, in one pass over s in [1, p].
+
+    The cost of slice s is the minimum of <d, d> + p*s over d in P with
+    d0 = s and dinf = 0; a slice is tight when that minimum is 0.
+    """
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    least, tight = p + 1, []  # the cost of slice 1, whose arms all cost 0
     for s in range(1, p + 1):
-        total = p * s + s * s
-        for mi in t.m:
-            key = (mi, s)
-            if key not in cache:
-                cache[key] = _arm_min(mi, s)
-            total += cache[key]
-        costs[s] = total
-    return costs
+        cost = p * s + s * s + sum(_arm_min(mi, s) for mi in t.m)
+        least = min(least, cost)
+        if cost == 0:
+            tight.append(s)
+    return least, tight
+
+
+def _require_ci(t: CanonicalType, p: int, least: int) -> None:
+    if least < 0:
+        raise ValueError(f"variety for {t} at p={p} is not a complete intersection")
+
+
+def _count(t: CanonicalType, p: int, tight: list[int]) -> int:
+    """Equality vectors: zero, plus each tight slice's chain product times its translates."""
+    return 1 + sum(prod(comb(mi, s % mi) for mi in t.m) * (p - s + 1) for s in tight)
+
+
+def _components(t: CanonicalType, p: int, least: int, tight: list[int],
+                cap: int) -> list[DimVector]:
+    _require_ci(t, p, least)
+    count = _count(t, p, tight)
+    if count > cap:
+        raise EnumerationCapExceeded(f"component count {count} exceeds cap {cap}")
+    h = basis_h(t)
+    out = [zero_vector(t)]
+    for s in tight:
+        for combo in product(*(_arm_min_chains(mi, s) for mi in t.m)):
+            base = DimVector(s, 0, combo)
+            for c in range(p - s + 1):
+                out.append(base + c * h)
+    out.sort(key=lambda d: d.sort_key())
+    return out
 
 
 def ci_defect(t: CanonicalType, p: int) -> int:
@@ -106,10 +120,7 @@ def ci_defect(t: CanonicalType, p: int) -> int:
     The zero vector contributes 0, so the defect is never positive; it is 0
     exactly when the variety at p*h is a complete intersection.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    costs = _slice_costs(t, p)
-    return min(0, min(costs.values()))
+    return min(0, _slices(t, p)[0])
 
 
 def is_complete_intersection(t: CanonicalType, p: int) -> bool:
@@ -118,25 +129,14 @@ def is_complete_intersection(t: CanonicalType, p: int) -> bool:
 
 def is_normal(t: CanonicalType, p: int) -> bool:
     """Strict criterion: <d, d> > -p*(d0 - dinf) for every nonzero d in P, d0 <= p."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    costs = _slice_costs(t, p)
-    return min(costs.values()) > 0
+    return _slices(t, p)[0] > 0
 
 
 def component_count(t: CanonicalType, p: int) -> int:
-    """Number of irreducible components, counted from the DP without materializing."""
-    costs = _slice_costs(t, p)
-    if min(costs.values()) < 0:
-        raise ValueError(f"variety for {t} at p={p} is not a complete intersection")
-    total = 1  # the zero vector
-    for s, cost in costs.items():
-        if cost == 0:
-            block = 1
-            for mi in t.m:
-                block *= len(_arm_min_chains(mi, s))
-            total += block * (p - s + 1)
-    return total
+    """Number of irreducible components, counted from the closed form without materializing."""
+    least, tight = _slices(t, p)
+    _require_ci(t, p, least)
+    return _count(t, p, tight)
 
 
 def irreducible_components(t: CanonicalType, p: int, cap: int = DEFAULT_CAP) -> list[DimVector]:
@@ -146,40 +146,14 @@ def irreducible_components(t: CanonicalType, p: int, cap: int = DEFAULT_CAP) -> 
     Each equality vector with dinf = 0 generates translates d + c*h for
     c in [0, p - d0], all of which attain equality as well.
     """
-    costs = _slice_costs(t, p)
-    if min(costs.values()) < 0:
-        raise ValueError(f"variety for {t} at p={p} is not a complete intersection")
-    if component_count(t, p) > cap:
-        raise EnumerationCapExceeded(
-            f"component count {component_count(t, p)} exceeds cap {cap}")
-    h = basis_h(t)
-    out = [zero_vector(t)]
-    for s, cost in costs.items():
-        if cost != 0:
-            continue
-        per_arm = [_arm_min_chains(mi, s) for mi in t.m]
-        for combo in _product(per_arm):
-            base = DimVector(s, 0, combo)
-            for c in range(p - s + 1):
-                out.append(base + c * h)
-    out.sort(key=lambda d: d.sort_key())
-    return out
-
-
-def _product(pools: list[list[tuple[int, ...]]]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for tail in _product(pools[1:]):
-            yield (head,) + tail
+    return _components(t, p, *_slices(t, p), cap)
 
 
 def equality_vectors_naive(t: CanonicalType, p: int,
                            cap: int = DEFAULT_CAP) -> tuple[int, list[DimVector]]:
     """Brute-force fallback: scan all of enumerate_P and return (defect, equality set).
 
-    Cross-checks the DP on small instances; the equality set lists every d with
+    Cross-checks the closed form on small instances; the equality set lists every d with
     <d, d> + p*(d0 - dinf) = 0 in enumeration order.
     """
     best = 0
@@ -228,11 +202,10 @@ class GeometryReport:
 
     @classmethod
     def compute(cls, t: CanonicalType, p: int, cap: int = DEFAULT_CAP) -> "GeometryReport":
-        defect = ci_defect(t, p)
-        ci = defect >= 0
-        normal = is_normal(t, p)
-        comps = tuple(irreducible_components(t, p, cap=cap)) if ci else ()
-        return cls(p=p, is_ci=ci, is_normal=normal, components=comps, defect=defect)
+        least, tight = _slices(t, p)
+        comps = tuple(_components(t, p, least, tight, cap)) if least >= 0 else ()
+        return cls(p=p, is_ci=least >= 0, is_normal=least > 0, components=comps,
+                   defect=min(0, least))
 
     def to_dict(self) -> dict:
         return {

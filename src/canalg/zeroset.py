@@ -72,7 +72,7 @@ class ZTriple:
         }
 
 
-def _flat(t: CanonicalType, d: DimVector) -> tuple[int, ...]:
+def _flat(d: DimVector) -> tuple[int, ...]:
     return (d.d0, d.dinf) + tuple(x for arm in d.arms for x in arm)
 
 
@@ -97,7 +97,7 @@ def _tube_candidates(t: CanonicalType, level: int):
         for a in range(mi):
             for qlen in range(1, mi * (level + 1)):
                 x = TubeIndec(i, a, qlen)
-                flat = _flat(t, dim_vector(t, x))
+                flat = _flat(dim_vector(t, x))
                 if max(flat) > level:
                     break
                 top = (a + qlen - 1) % mi
@@ -126,7 +126,7 @@ def enumerate_Zp(t: CanonicalType, p: int, cap: int = DEFAULT_ZCAP) -> Iterator[
         for dprime in enumerate_P(t, q):
             if dprime.is_zero():
                 continue
-            dflat = _flat(t, dprime)
+            dflat = _flat(dprime)
             budget = tuple(a - b for a, b in zip(qh, dflat))
             needed = 0
             for i, mi in enumerate(t.m, start=1):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from canalg import cli, cones, zeroset
 from canalg.cli import main
 
 
@@ -106,3 +107,42 @@ def test_missing_p_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ci", "--type", "2,2,2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["components", "zeroset"])
+def test_level_zero_exits_2(capsys, command):
+    code, _, err = run(capsys, command, "--type", "2,2,2", "--p", "0")
+    assert code == 2
+    assert err == "error: p must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("extra, message", [
+    (("--mu", "1/0"), "--mu takes rationals"),
+    (("--lambdas", "x"), "--lambdas takes rationals"),
+    (("--sizes", "0"), "--sizes must be >= 1"),
+])
+def test_oracle_bad_input_exits_2(capsys, extra, message):
+    code, out, err = run(capsys, "oracle", "--type", "2,2,2", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("slot\nmissing")
+    monkeypatch.setitem(cli.HANDLERS, "classify", broken)
+    code, _, err = run(capsys, "classify", "--type", "2,2,2")
+    assert code == 3
+    assert err == "internal error: RuntimeError: slot missing\n"
+
+
+def test_cap_defaults_follow_library():
+    parser = cli.build_parser()
+    for command in ["classify", "ci", "components", "zeroset", "witness",
+                    "verify", "oracle"]:
+        argv = [command, "--type", "2,2,2"]
+        if command in ("ci", "components", "zeroset"):
+            argv += ["--p", "3"]
+        want = zeroset.DEFAULT_ZCAP if command == "zeroset" else cones.DEFAULT_CAP
+        assert parser.parse_args(argv).cap == want

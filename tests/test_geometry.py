@@ -1,12 +1,14 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from canalg.forms import (CanonicalType, euler_quadratic,
                           format_dim_vector, zero_vector)
 from canalg.cones import in_P
-from canalg.geometry import (GeometryReport, boundary_component_count,
-                             ci_defect, ci_failure_witness, classify_type,
+from canalg.geometry import (GeometryReport, _arm_min, _arm_min_chains,
+                             boundary_component_count, ci_defect,
+                             ci_failure_witness, classify_type,
                              component_count, equality_vectors_naive,
                              irreducible_components, is_complete_intersection,
                              is_normal)
@@ -117,7 +119,31 @@ def test_geometry_report():
 
 
 def test_p_validation():
-    with pytest.raises(ValueError):
-        ci_defect(T222, 0)
-    with pytest.raises(ValueError):
-        is_normal(T222, -1)
+    for f in (ci_defect, is_normal, component_count, irreducible_components):
+        for p in (0, -1):
+            with pytest.raises(ValueError, match="p must be >= 1"):
+                f(T222, p)
+
+
+def test_arm_min_matches_brute_chains():
+    # Scan every nonincreasing chain s >= x_1 >= ... >= x_{m-1} >= 0 and
+    # evaluate the arm sum directly, with no use of the balanced-step form.
+    for m in range(2, 8):
+        for s in range(13):
+            costs = {}
+            for ascending in combinations_with_replacement(range(s + 1), m - 1):
+                chain = ascending[::-1]
+                prev, cost = s, 0
+                for x in chain:
+                    cost += x * x - x * prev
+                    prev = x
+                costs[chain] = cost
+            least = min(costs.values())
+            assert _arm_min(m, s) == least, (m, s)
+            assert _arm_min_chains(m, s) == sorted(c for c, v in costs.items() if v == least)
+
+
+def test_component_count_matches_listing_on_boundary():
+    for t, pmax in [(T5, 12), (T36, 9)]:
+        for p in range(1, pmax + 1):
+            assert component_count(t, p) == len(irreducible_components(t, p))
