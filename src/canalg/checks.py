@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry, oracle, zeroset
-from .cones import decompose_slope_one, in_P, in_Q
+from .cones import EnumerationCapExceeded, decompose_slope_one, in_P, in_Q
 from .forms import (CanonicalType, DimVector, a_dim, basis_e, basis_h,
                     euler_form, euler_quadratic, gl_dim,
                     quadratic_lower_bound, quadratic_via_decomposition,
@@ -254,23 +254,24 @@ def zeroset_stats(t: CanonicalType, pmax: int,
                   cap: int = zeroset.DEFAULT_ZCAP) -> list[tuple]:
     """One pass over Z_pmax collecting (triple, <d',h>, <d',d'>, <d',dim X>, [X,X]).
 
-    The per-object caches matter: a quarter million triples share a few
-    hundred d' vectors and far fewer module classes than triples.
+    <d',h> and <d',d'> are taken once per (q, d') block, and module classes
+    are cached: a quarter million triples share a few hundred d' vectors and
+    far fewer module classes than triples.  Past ``cap`` triples the pass
+    raises EnumerationCapExceeded.
     """
     h = basis_h(t)
-    d_cache: dict = {}
     x_cache: dict = {}
     stats = []
-    for z in zeroset.enumerate_Zp(t, pmax, cap=cap):
-        if z.dprime not in d_cache:
-            d_cache[z.dprime] = (euler_form(t, z.dprime, h),
-                                 euler_quadratic(t, z.dprime))
-        th, sd = d_cache[z.dprime]
-        if z.xclass not in x_cache:
-            x_cache[z.xclass] = (dim_vector(t, z.xclass), end_dim(t, z.xclass))
-        dim_x, xx = x_cache[z.xclass]
-        pair = euler_form(t, z.dprime, dim_x)
-        stats.append((z, th, sd, pair, xx))
+    for _, dprime, triples in zeroset._blocks(t, pmax):
+        th, sd = euler_form(t, dprime, h), euler_quadratic(t, dprime)
+        for z in triples():
+            if z.xclass not in x_cache:
+                x_cache[z.xclass] = (dim_vector(t, z.xclass), end_dim(t, z.xclass))
+            dim_x, xx = x_cache[z.xclass]
+            stats.append((z, th, sd, euler_form(t, dprime, dim_x), xx))
+            if len(stats) > cap:
+                raise EnumerationCapExceeded(
+                    f"cap {cap} exceeded enumerating Z_p for {t}, p={pmax}")
     return stats
 
 
@@ -311,14 +312,14 @@ def zeroset_suite(t: CanonicalType, pmax: int = 4,
         for idx, (z, th, sd, pair, xx) in enumerate(stats):
             if z.q > p:
                 continue
-            d = (p - z.q) * th + (p - t.n) * (th - 1) + (sd - 1)
+            d = zeroset._deficiency(t, p, z.q, th, sd)
             if th == 1 and d != p - z.q:
                 slope_ok = False
             if d < 0:
                 diffs_ok = False
             if th == 1 and z.q == p and pair == 0 and xx == t.total - t.n:
                 plus_ids.add(idx)
-            sdim = a_ph[p] - ((2 * p - z.q) * th + sd + pair + xx)
+            sdim = a_ph[p] - zeroset._stratum_codim(p, z.q, th, sd, pair, xx)
             if d == 0 and sdim == tgt:
                 flat_ids.add(idx)
         out.append(CheckResult(f"zeroset/slope-one-diff[{t},p={p}]", slope_ok))

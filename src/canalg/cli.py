@@ -177,12 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "canonical algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_p=False, cap=DEFAULT_CAP):
+    def common(sp, with_p=False, cap=DEFAULT_CAP,
+               cap_help="enumeration cap; exceeding it is an error"):
         sp.add_argument("--type", required=True,
                         help="comma-separated arm lengths, e.g. 2,3,6")
         sp.add_argument("--format", choices=["text", "json"], default="text")
-        sp.add_argument("--cap", type=int, default=cap,
-                        help="enumeration cap; exceeding it is an error")
+        sp.add_argument("--cap", type=int, default=cap, help=cap_help)
         if with_p:
             sp.add_argument("--p", type=int, required=True,
                             help="level: analyses run at dimension vector p*h")
@@ -193,7 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("components", help="list irreducible components"),
            with_p=True)
     common(sub.add_parser("zeroset", help="zero-set report at level p"), with_p=True,
-           cap=zeroset.DEFAULT_ZCAP)
+           cap=zeroset.DEFAULT_ZCAP,
+           cap_help="most (q, d') blocks of Z_p scanned inside the enumeration "
+                    "window; exceeding it is an error")
     common(sub.add_parser("witness", help="explicit criterion-violating vector"))
 
     sp = sub.add_parser("verify", help="run all invariant suites")

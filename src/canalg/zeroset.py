@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import prod
 from typing import Iterator
@@ -105,6 +106,37 @@ def _tube_candidates(t: CanonicalType, level: int):
     return out, base
 
 
+def _blocks(t: CanonicalType, p: int):
+    """Every (q, d', triples) with q <= p and d' nonzero in enumerate_P(t, q).
+
+    ``triples()`` runs the completion search for that block lazily: it builds
+    the budget, the mask of tube simples d' leaves unseen and the fitting
+    candidates only when called, then yields the block's triples in canonical
+    order.  Everything the deficiency reads (q and d') is known without it.
+    """
+    cands, base = _tube_candidates(t, p)
+    suffix_mask = [0] * (len(cands) + 1)
+    for k in range(len(cands) - 1, -1, -1):
+        suffix_mask[k] = suffix_mask[k + 1] | cands[k][2]
+
+    def completions(dprime: DimVector, q: int) -> Iterator[ZTriple]:
+        budget = tuple(q - b for b in _flat(dprime))
+        needed = 0
+        for i, mi in enumerate(t.m, start=1):
+            for j in range(mi):
+                if dprime.entry(i, j) == dprime.entry(i, j + 1):
+                    needed |= 1 << (base[i] + j)
+        fits = [k for k, (_, dim, _) in enumerate(cands)
+                if all(x <= y for x, y in zip(dim, budget))]
+        return _extend(t, dprime, q, cands, fits, 0, budget,
+                       0, needed, suffix_mask, [])
+
+    for q in range(1, p + 1):
+        for dprime in enumerate_P(t, q):
+            if not dprime.is_zero():
+                yield q, dprime, partial(completions, dprime, q)
+
+
 def enumerate_Zp(t: CanonicalType, p: int, cap: int = DEFAULT_ZCAP) -> Iterator[ZTriple]:
     """All stratum labels with q <= p, in canonical order.
 
@@ -114,34 +146,14 @@ def enumerate_Zp(t: CanonicalType, p: int, cap: int = DEFAULT_ZCAP) -> Iterator[
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    nvert = 2 + t.total - t.n
-    cands, base = _tube_candidates(t, p)
-    suffix_mask = [0] * (len(cands) + 1)
-    for k in range(len(cands) - 1, -1, -1):
-        suffix_mask[k] = suffix_mask[k + 1] | cands[k][2]
     emitted = 0
-
-    for q in range(1, p + 1):
-        qh = (q,) * nvert
-        for dprime in enumerate_P(t, q):
-            if dprime.is_zero():
-                continue
-            dflat = _flat(dprime)
-            budget = tuple(a - b for a, b in zip(qh, dflat))
-            needed = 0
-            for i, mi in enumerate(t.m, start=1):
-                for j in range(mi):
-                    if dprime.entry(i, j) == dprime.entry(i, j + 1):
-                        needed |= 1 << (base[i] + j)
-            fits = [k for k, (_, dim, _) in enumerate(cands)
-                    if all(x <= y for x, y in zip(dim, budget))]
-            for triple in _extend(t, dprime, q, cands, fits, 0, budget,
-                                  0, needed, suffix_mask, []):
-                emitted += 1
-                if emitted > cap:
-                    raise EnumerationCapExceeded(
-                        f"cap {cap} exceeded enumerating Z_p for {t}, p={p}")
-                yield triple
+    for _, _, triples in _blocks(t, p):
+        for triple in triples():
+            emitted += 1
+            if emitted > cap:
+                raise EnumerationCapExceeded(
+                    f"cap {cap} exceeded enumerating Z_p for {t}, p={p}")
+            yield triple
 
 
 def _extend(t, dprime, q, cands, fits, start, budget, covered, needed,
@@ -186,6 +198,17 @@ def _in_Q_flat(t: CanonicalType, flat: tuple[int, ...]) -> bool:
     return True
 
 
+def _deficiency(t: CanonicalType, p: int, q: int, th: int, sd: int) -> int:
+    """(p-q)*th + (p-n)*(th - 1) + (sd - 1) for th = <d',h>, sd = <d',d'>."""
+    return (p - q) * th + (p - t.n) * (th - 1) + (sd - 1)
+
+
+def _stratum_codim(p: int, q: int, th: int, sd: int, pair: int, xx: int) -> int:
+    """a(p*h) minus the stratum dimension, from <d',h>, <d',d'>, <d',dim X>
+    and dim End(X)."""
+    return (2 * p - q) * th + sd + pair + xx
+
+
 def diff(t: CanonicalType, p: int, z: ZTriple) -> int:
     """Deficiency (p-q)<d',h> + (p-n)(<d',h> - 1) + (<d',d'> - 1).
 
@@ -193,8 +216,7 @@ def diff(t: CanonicalType, p: int, z: ZTriple) -> int:
     enough for the set-theoretic complete-intersection conclusion.
     """
     th = euler_form(t, z.dprime, basis_h(t))
-    sd = euler_quadratic(t, z.dprime)
-    return (p - z.q) * th + (p - t.n) * (th - 1) + (sd - 1)
+    return _deficiency(t, p, z.q, th, euler_quadratic(t, z.dprime))
 
 
 def stratum_dim(t: CanonicalType, p: int, z: ZTriple) -> int:
@@ -203,7 +225,7 @@ def stratum_dim(t: CanonicalType, p: int, z: ZTriple) -> int:
     sd = euler_quadratic(t, z.dprime)
     pair = euler_form(t, z.dprime, dim_vector(t, z.xclass))
     xx = end_dim(t, z.xclass)
-    return a_dim(t, p * basis_h(t)) - ((2 * p - z.q) * th + sd + pair + xx)
+    return a_dim(t, p * basis_h(t)) - _stratum_codim(p, z.q, th, sd, pair, xx)
 
 
 def target_zero_dim(t: CanonicalType, p: int) -> int:
@@ -308,56 +330,100 @@ def check_wild_margin(t: CanonicalType, p: int) -> bool:
     return all(wild_margin(t, p, x) > 0 for x in range(2, p + 1))
 
 
-def zeroset_is_ci(t: CanonicalType, p: int,
-                  product_limit: int = BRUTE_PRODUCT_LIMIT,
-                  p_limit: int = BRUTE_P_LIMIT,
-                  cap: int = DEFAULT_ZCAP) -> bool:
-    """Whether the deficiency is nonnegative over all of Z_p.
+def _negative_witness(t: CanonicalType, p: int,
+                      cap: int = DEFAULT_ZCAP) -> ZTriple | None:
+    """A triple of Z_p with negative deficiency, or None if there is none.
 
-    Requires the module variety at p*h to be irreducible.  Inside the
-    desk-scale window the answer is computed by exhaustive enumeration;
-    outside it, levels at or above the proved threshold return True and
-    anything else is refused.
+    The deficiency reads only q and d', so it is evaluated once per (q, d')
+    block; only a negative block runs its completion search, and its first
+    triple (if any) is the witness.  Past ``cap`` blocks the scan raises
+    EnumerationCapExceeded.
     """
+    h = basis_h(t)
+    for seen, (q, dprime, triples) in enumerate(_blocks(t, p), start=1):
+        if seen > cap:
+            raise EnumerationCapExceeded(
+                f"cap {cap} exceeded scanning the (q, d') blocks of Z_p for {t}, p={p}")
+        th = euler_form(t, dprime, h)
+        if _deficiency(t, p, q, th, euler_quadratic(t, dprime)) < 0:
+            witness = next(triples(), None)
+            if witness is not None:
+                return witness
+    return None
+
+
+def _decide(t: CanonicalType, p: int,
+            cap: int) -> tuple[bool, str, ZTriple | None]:
+    """(is_ci, route, witness): the zero-set decision and how it was reached."""
     if geometry.component_count(t, p) != 1:
         raise ValueError(
             f"variety for {t} at p={p} is not irreducible; the zero-set "
             f"criterion does not apply")
-    if t.product <= product_limit and p <= p_limit:
-        return all(diff(t, p, z) >= 0 for z in enumerate_Zp(t, p, cap=cap))
-    d = t.delta
-    if d < 1 and p >= zeroset_threshold(t):
-        return True
+    if t.product <= BRUTE_PRODUCT_LIMIT and p <= BRUTE_P_LIMIT:
+        witness = _negative_witness(t, p, cap)
+        return witness is None, "enumeration", witness
+    if t.delta < 1 and p >= zeroset_threshold(t):
+        return True, "proved_bound", None
     raise OutsideProvenRange(
         f"type {t} at p={p} is outside both the enumeration window and the "
         f"proved bounds")
 
 
+def zeroset_is_ci(t: CanonicalType, p: int, cap: int = DEFAULT_ZCAP) -> bool:
+    """Whether the deficiency is nonnegative over all of Z_p.
+
+    Requires the module variety at p*h to be irreducible.  Inside the
+    desk-scale window (arm product <= BRUTE_PRODUCT_LIMIT, p <= BRUTE_P_LIMIT)
+    the answer is computed by scanning the (q, d') blocks of Z_p, with
+    ``cap`` bounding the number of blocks; outside it, levels at or above the
+    proved threshold return True and anything else is refused.
+    """
+    return _decide(t, p, cap)[0]
+
+
 @dataclass(frozen=True)
 class ZeroSetReport:
-    """Summary of the zero-set analysis at level p."""
+    """Summary of the zero-set analysis at level p.
+
+    ``answered_by`` names the route of the CI decision ("enumeration" inside
+    the window, "proved_bound" outside it), ``component_count_from`` the
+    route of the count ("closed_form", or None when there is no count), and
+    ``witness`` a triple with negative deficiency when enumeration says no.
+    """
 
     p: int
     is_ci: bool
     component_count: int | None
     threshold: int
     target_dim: int
+    answered_by: str
+    component_count_from: str | None
+    witness: ZTriple | None
 
     @classmethod
-    def compute(cls, t: CanonicalType, p: int, **kwargs) -> "ZeroSetReport":
+    def compute(cls, t: CanonicalType, p: int,
+                cap: int = DEFAULT_ZCAP) -> "ZeroSetReport":
         threshold = zeroset_threshold(t)
-        ci = zeroset_is_ci(t, p, **kwargs)
+        ci, route, witness = _decide(t, p, cap)
         count = None
         if ci and p >= count_valid_from(t):
             count = component_count_formula(t, p)
         return cls(p=p, is_ci=ci, component_count=count,
-                   threshold=threshold, target_dim=target_zero_dim(t, p))
+                   threshold=threshold, target_dim=target_zero_dim(t, p),
+                   answered_by=route,
+                   component_count_from=None if count is None else "closed_form",
+                   witness=witness)
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "p": self.p,
             "is_ci": self.is_ci,
             "component_count": self.component_count,
             "threshold": self.threshold,
             "target_dim": self.target_dim,
+            "answered_by": self.answered_by,
+            "component_count_from": self.component_count_from,
         }
+        if self.witness is not None:
+            out["witness"] = self.witness.to_dict()
+        return out

@@ -1,4 +1,7 @@
+import pytest
+
 from canalg import checks
+from canalg.cones import EnumerationCapExceeded
 from canalg.forms import CanonicalType
 
 
@@ -35,3 +38,6 @@ def test_stats_shape():
     for z, th, sd, pair, xx in stats:
         assert th == z.dprime.d0 - z.dprime.dinf
         assert xx >= 0 and pair >= 0
+    assert len(checks.zeroset_stats(CanonicalType((2, 2, 2)), 2, cap=94)) == 94
+    with pytest.raises(EnumerationCapExceeded):
+        checks.zeroset_stats(CanonicalType((2, 2, 2)), 2, cap=93)

@@ -54,6 +54,20 @@ def test_zeroset(capsys):
     assert payload["threshold"] == 3
 
 
+def test_zeroset_cap_counts_blocks_and_exits_2(capsys):
+    code, out, err = run(capsys, "zeroset", "--type", "2,2,2", "--p", "4", "--cap", "10")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cap 10 exceeded") and err.count("\n") == 1
+
+
+def test_zeroset_witness_below_threshold(capsys):
+    code, payload, _ = run_json(capsys, "zeroset", "--type", "2,2,2", "--p", "2")
+    assert code == 0
+    assert payload["is_ci"] is False and payload["answered_by"] == "enumeration"
+    assert payload["component_count"] is None and payload["component_count_from"] is None
+    assert payload["witness"]["q"] <= 2
+
+
 def test_witness(capsys):
     code, payload, _ = run_json(capsys, "witness", "--type", "2,3,7")
     assert code == 0

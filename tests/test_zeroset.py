@@ -9,7 +9,7 @@ from canalg.forms import (CanonicalType, basis_e, basis_e0, basis_einf,
                           basis_h, euler_form)
 from canalg.tubes import RegularModuleClass, TubeIndec
 from canalg.zeroset import (OutsideProvenRange, ZeroSetReport, ZTriple,
-                            check_wild_margin, component_count_formula,
+                            _negative_witness, check_wild_margin, component_count_formula,
                             components_bruteforce, count_valid_from, diff,
                             enumerate_Zp, equality_stratum_count,
                             plus_condition, stratum_dim, target_zero_dim,
@@ -158,9 +158,52 @@ def test_zeroset_report():
     assert rep.to_dict() == {
         "p": 4, "is_ci": True, "component_count": 20,
         "threshold": 3, "target_dim": 72,
+        "answered_by": "enumeration", "component_count_from": "closed_form",
     }
     rep3 = ZeroSetReport.compute(T222, 3)
     assert rep3.is_ci and rep3.component_count is None
+    assert rep3.component_count_from is None
+
+
+def test_zeroset_report_routes_and_witness():
+    rep = ZeroSetReport.compute(T237, 5)
+    assert rep.answered_by == "proved_bound"
+    assert rep.component_count_from == "closed_form"
+    assert "witness" not in rep.to_dict()
+    rep2 = ZeroSetReport.compute(T222, 2)
+    assert not rep2.is_ci and rep2.answered_by == "enumeration"
+    assert rep2.witness.is_member(T222, 2) and diff(T222, 2, rep2.witness) < 0
+    assert rep2.to_dict()["witness"] == rep2.witness.to_dict()
+
+
+# (type, levels) inside the window, with both answers among them
+NAIVE_CASES = ([((2, 2, 2), p) for p in range(1, 5)]
+               + [(m, p) for m in ((2, 2, 3), (2, 3, 2), (3, 2, 2)) for p in range(1, 4)]
+               + [(m, p) for m in ((2, 2, 4), (2, 3, 3), (2, 2, 5), (2, 2, 2, 2))
+                  for p in (1, 2)])
+
+
+def test_zeroset_is_ci_matches_naive_scan():
+    answers = set()
+    for arms, p in NAIVE_CASES:
+        t = CanonicalType(arms)
+        naive = all(diff(t, p, z) >= 0 for z in enumerate_Zp(t, p))
+        assert zeroset_is_ci(t, p) == naive, (arms, p)
+        witness = _negative_witness(t, p)
+        assert (witness is None) == naive, (arms, p)
+        if witness is not None:
+            assert witness.is_member(t, p) and diff(t, p, witness) < 0, (arms, p)
+        answers.add(naive)
+    assert answers == {True, False}
+
+
+def test_zeroset_is_ci_cap_counts_blocks():
+    # (2,2,2) at p = 4 has 559 (q, d') blocks and 27,137 triples
+    with pytest.raises(EnumerationCapExceeded):
+        zeroset_is_ci(T222, 4, cap=10)
+    assert zeroset_is_ci(T222, 4, cap=559)
+    with pytest.raises(EnumerationCapExceeded):
+        zeroset_is_ci(T222, 4, cap=558)
 
 
 def test_ztriple_membership_rejects():
