@@ -6,7 +6,7 @@ oracle validating the combinatorial layer."""
 from .cones import (EnumerationCapExceeded, decompose_slope_one, enumerate_P,
                     in_P, in_Q)
 from .forms import (CanonicalType, DimVector, a_dim, basis_e, basis_e0,
-                    basis_einf, basis_h, delta, euler_form, euler_quadratic,
+                    basis_einf, basis_h, euler_form, euler_quadratic,
                     format_dim_vector, gl_dim, parse_dim_vector,
                     quadratic_lower_bound, quadratic_via_decomposition,
                     slope_one_vector, zero_vector)
@@ -23,8 +23,8 @@ from .tubes import (RegularModuleClass, TubeIndec, dim_vector, end_dim,
 from .zeroset import (OutsideProvenRange, ZeroSetReport, ZTriple,
                       check_wild_margin, component_count_formula,
                       components_bruteforce, diff, enumerate_Zp,
-                      equality_stratum_count, plus_condition, stratum_dim,
-                      target_zero_dim, wild_margin, zeroset_is_ci,
-                      zeroset_threshold)
+                      equality_stratum_count, plus_condition, strata,
+                      stratum_dim, target_zero_dim, wild_margin,
+                      zeroset_is_ci, zeroset_threshold)
 
 __version__ = "0.1.0"

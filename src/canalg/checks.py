@@ -9,11 +9,12 @@ subcommands, and the property-style portion of the test suite.
 from __future__ import annotations
 
 import random
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry, oracle, zeroset
-from .cones import EnumerationCapExceeded, decompose_slope_one, in_P, in_Q
+from .cones import decompose_slope_one, in_P, in_Q
 from .forms import (CanonicalType, DimVector, a_dim, basis_e, basis_h,
                     euler_form, euler_quadratic, gl_dim,
                     quadratic_lower_bound, quadratic_via_decomposition,
@@ -250,31 +251,6 @@ def tubes_suite(t: CanonicalType) -> list[CheckResult]:
     return out
 
 
-def zeroset_stats(t: CanonicalType, pmax: int,
-                  cap: int = zeroset.DEFAULT_ZCAP) -> list[tuple]:
-    """One pass over Z_pmax collecting (triple, <d',h>, <d',d'>, <d',dim X>, [X,X]).
-
-    <d',h> and <d',d'> are taken once per (q, d') block, and module classes
-    are cached: a quarter million triples share a few hundred d' vectors and
-    far fewer module classes than triples.  Past ``cap`` triples the pass
-    raises EnumerationCapExceeded.
-    """
-    h = basis_h(t)
-    x_cache: dict = {}
-    stats = []
-    for _, dprime, triples in zeroset._blocks(t, pmax):
-        th, sd = euler_form(t, dprime, h), euler_quadratic(t, dprime)
-        for z in triples():
-            if z.xclass not in x_cache:
-                x_cache[z.xclass] = (dim_vector(t, z.xclass), end_dim(t, z.xclass))
-            dim_x, xx = x_cache[z.xclass]
-            stats.append((z, th, sd, euler_form(t, dprime, dim_x), xx))
-            if len(stats) > cap:
-                raise EnumerationCapExceeded(
-                    f"cap {cap} exceeded enumerating Z_p for {t}, p={pmax}")
-    return stats
-
-
 def zeroset_suite(t: CanonicalType, pmax: int = 4,
                   cap: int = zeroset.DEFAULT_ZCAP) -> list[CheckResult]:
     out = []
@@ -286,54 +262,52 @@ def zeroset_suite(t: CanonicalType, pmax: int = 4,
     if t.product > zeroset.BRUTE_PRODUCT_LIMIT or pmax > zeroset.BRUTE_P_LIMIT:
         return out
 
-    stats = zeroset_stats(t, pmax, cap=cap)
-    a_ph = {p: a_dim(t, p * basis_h(t)) for p in range(1, pmax + 1)}
-
-    sample = [z for z, *_ in stats[:200]] + [z for z, *_ in stats[-200:]]
-    ok = all(z.is_member(t, pmax) for z in sample)
-    out.append(CheckResult(f"zeroset/membership-recheck[{t},p<={pmax}]", ok))
-
-    ok, detail = True, ""
-    for z, th, sd, pair, xx in stats:
-        if xx < t.total - t.n * th:
-            ok, detail = False, f"end bound fails at {z.to_dict()}"
-            break
-        if pair < 0:
-            ok, detail = False, f"pairing < 0 at {z.to_dict()}"
-            break
-    out.append(CheckResult(f"zeroset/end-bound[{t},p<={pmax}]", ok, detail))
-
-    for p in range(1, pmax + 1):
-        plus_ids = set()
-        flat_ids = set()
-        diffs_ok = True
-        slope_ok = True
-        tgt = zeroset.target_zero_dim(t, p)
-        for idx, (z, th, sd, pair, xx) in enumerate(stats):
-            if z.q > p:
-                continue
+    # One pass over Z_pmax: a tally per level, the first end-bound failure,
+    # and the first and last 200 triples for the membership recheck.
+    levels = range(1, pmax + 1)
+    a_ph = {p: a_dim(t, p * basis_h(t)) for p in levels}
+    tgt = {p: zeroset.target_zero_dim(t, p) for p in levels}
+    tally = Counter()
+    head = []
+    tail = deque(maxlen=200)
+    end_detail = ""
+    for z, th, sd, pair, xx in zeroset.strata(t, pmax, cap=cap):
+        if len(head) < 200:
+            head.append(z)
+        tail.append(z)
+        if not end_detail:
+            if xx < t.total - t.n * th:
+                end_detail = f"end bound fails at {z.to_dict()}"
+            elif pair < 0:
+                end_detail = f"pairing < 0 at {z.to_dict()}"
+        for p in range(z.q, pmax + 1):
             d = zeroset._deficiency(t, p, z.q, th, sd)
-            if th == 1 and d != p - z.q:
-                slope_ok = False
-            if d < 0:
-                diffs_ok = False
-            if th == 1 and z.q == p and pair == 0 and xx == t.total - t.n:
-                plus_ids.add(idx)
-            sdim = a_ph[p] - zeroset._stratum_codim(p, z.q, th, sd, pair, xx)
-            if d == 0 and sdim == tgt:
-                flat_ids.add(idx)
-        out.append(CheckResult(f"zeroset/slope-one-diff[{t},p={p}]", slope_ok))
+            plus = zeroset._is_equality(t, p, z.q, th, pair, xx)
+            flat = d == 0 and a_ph[p] - zeroset._stratum_codim(
+                p, z.q, th, sd, pair, xx) == tgt[p]
+            tally["slope", p] += th == 1 and d != p - z.q
+            tally["negative", p] += d < 0
+            tally["plus", p] += plus
+            tally["flat", p] += flat
+            tally["split", p] += plus != flat
+
+    ok = all(z.is_member(t, pmax) for z in head + list(tail))
+    out.append(CheckResult(f"zeroset/membership-recheck[{t},p<={pmax}]", ok))
+    out.append(CheckResult(f"zeroset/end-bound[{t},p<={pmax}]", not end_detail, end_detail))
+
+    for p in levels:
+        out.append(CheckResult(f"zeroset/slope-one-diff[{t},p={p}]", not tally["slope", p]))
         if p > t.n:
             # strictness range: equality strata = target-dimensional diff-0 strata
-            ok = flat_ids == plus_ids
+            ok = not tally["split", p]
             out.append(CheckResult(f"zeroset/equality-strata[{t},p={p}]", ok,
-                                   "" if ok else f"{len(flat_ids)} vs {len(plus_ids)}"))
+                                   "" if ok else f"{tally['flat', p]} vs {tally['plus', p]}"))
         want = zeroset.equality_stratum_count(t, p)
-        ok = len(plus_ids) == want
+        ok = tally["plus", p] == want
         out.append(CheckResult(f"zeroset/parametrized-count[{t},p={p}]", ok,
-                               "" if ok else f"enumerated {len(plus_ids)}, parametrized {want}"))
+                               "" if ok else f"enumerated {tally['plus', p]}, parametrized {want}"))
         if t.delta < 1 and p >= zeroset.zeroset_threshold(t):
-            out.append(CheckResult(f"zeroset/diff-nonneg[{t},p={p}]", diffs_ok))
+            out.append(CheckResult(f"zeroset/diff-nonneg[{t},p={p}]", not tally["negative", p]))
     return out
 
 

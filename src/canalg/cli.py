@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import checks, geometry, oracle, zeroset
 from .cones import DEFAULT_CAP, EnumerationCapExceeded
-from .forms import CanonicalType, format_dim_vector
+from .forms import CanonicalType, euler_quadratic, format_dim_vector
 from .zeroset import OutsideProvenRange
 
 
@@ -97,7 +97,6 @@ def cmd_zeroset(args) -> int:
 def cmd_witness(args) -> int:
     t = CanonicalType.parse(args.type)
     p, d = geometry.ci_failure_witness(t)
-    from .forms import euler_quadratic
     q = euler_quadratic(t, d)
     value = q + p * (d.d0 - d.dinf)
     payload = {
@@ -105,7 +104,7 @@ def cmd_witness(args) -> int:
         "d": format_dim_vector(d),
         "quadratic": q,
         "criterion_value": value,
-        "violates": "weak" if value < 0 else "strict_only",
+        "violates": "weak" if value < 0 else "strict_only" if value == 0 else "none",
     }
     _emit(payload, args.format)
     return 0
@@ -113,6 +112,9 @@ def cmd_witness(args) -> int:
 
 def cmd_verify(args) -> int:
     t = CanonicalType.parse(args.type)
+    for option, value in (("--pmax", args.pmax), ("--samples", args.samples)):
+        if value < 1:
+            raise ValueError(f"{option} must be >= 1, got {value}")
     results = checks.run_all(t, pmax=args.pmax, seed=args.seed, samples=args.samples)
     all_ok = all(r.ok for r in results)
     if args.format == "json":

@@ -7,7 +7,7 @@ with every arm chain nonincreasing from d0 down to dinf.  Q is the dual cone
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import pairwise, product
 from typing import Iterator
 
 from .forms import CanonicalType, DimVector, _check_shape, zero_vector
@@ -21,22 +21,16 @@ class EnumerationCapExceeded(RuntimeError):
 
 def in_P(t: CanonicalType, d: DimVector) -> bool:
     _check_shape(t, d)
-    if d.is_zero():
-        return True
     if not d.d0 > d.dinf >= 0:
-        return False
-    return all(d.entry(i, j) >= d.entry(i, j + 1)
-               for i, mi in enumerate(t.m, start=1) for j in range(mi))
+        return d.is_zero()
+    return all(a >= b for arm in d.arms for a, b in pairwise((d.d0, *arm, d.dinf)))
 
 
 def in_Q(t: CanonicalType, d: DimVector) -> bool:
     _check_shape(t, d)
-    if d.is_zero():
-        return True
     if not 0 <= d.d0 < d.dinf:
-        return False
-    return all(d.entry(i, j) <= d.entry(i, j + 1)
-               for i, mi in enumerate(t.m, start=1) for j in range(mi))
+        return d.is_zero()
+    return all(a <= b for arm in d.arms for a, b in pairwise((d.d0, *arm, d.dinf)))
 
 
 def _chains(length: int, high: int, low: int) -> Iterator[tuple[int, ...]]:

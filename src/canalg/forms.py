@@ -203,10 +203,6 @@ def slope_one_vector(t: CanonicalType, ls: Sequence[int]) -> DimVector:
     return DimVector(1, 0, tuple(arms))
 
 
-def delta(t: CanonicalType) -> Fraction:
-    return t.delta
-
-
 def euler_form(t: CanonicalType, d1: DimVector, d2: DimVector) -> int:
     """The Ringel bilinear form <d1, d2>, exact over the integers."""
     _check_shape(t, d1, d2)

@@ -11,18 +11,21 @@ the sign of an integer deficiency function over Z_p.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, pairwise
 from math import prod
+from operator import le, sub
 from typing import Iterator
 
 from . import geometry
 from .cones import EnumerationCapExceeded, enumerate_P, in_P, in_Q
 from .forms import (CanonicalType, DimVector, a_dim, basis_e, basis_h,
                     euler_form, euler_quadratic, format_dim_vector)
-from .tubes import RegularModuleClass, TubeIndec, dim_vector, end_dim, hom_to_simple_nonzero
+from .tubes import (RegularModuleClass, TubeIndec, dim_vector, end_dim, hom_dim_tube,
+                    hom_to_simple_nonzero)
 
 DEFAULT_ZCAP = 5 * 10**6
 
@@ -87,7 +90,12 @@ def _unflat(t: CanonicalType, flat: tuple[int, ...]) -> DimVector:
 
 
 def _tube_candidates(t: CanonicalType, level: int):
-    """All (indec, flat dim, top bit) with every coordinate <= level."""
+    """All (indec, flat dim, top bit, simples) with every coordinate <= level.
+
+    The tube simple e_{i,j} is numbered m_1 + ... + m_{i-1} + j; the top bit
+    is 1 << that number, and ``simples`` lists (number, multiplicity) over
+    the composition factors.
+    """
     base = {}
     acc = 0
     for i, mi in enumerate(t.m, start=1):
@@ -102,39 +110,73 @@ def _tube_candidates(t: CanonicalType, level: int):
                 if max(flat) > level:
                     break
                 top = (a + qlen - 1) % mi
-                out.append((x, flat, 1 << (base[i] + top)))
-    return out, base
+                simples = Counter(base[i] + (a + u) % mi for u in range(qlen))
+                out.append((x, flat, 1 << (base[i] + top), tuple(simples.items())))
+    return out
 
 
 def _blocks(t: CanonicalType, p: int):
     """Every (q, d', triples) with q <= p and d' nonzero in enumerate_P(t, q).
 
-    ``triples()`` runs the completion search for that block lazily: it builds
-    the budget, the mask of tube simples d' leaves unseen and the fitting
-    candidates only when called, then yields the block's triples in canonical
-    order.  Everything the deficiency reads (q and d') is known without it.
+    ``triples(invariants)`` runs the completion search for that block lazily:
+    it builds the budget, the mask of tube simples d' leaves unseen and the
+    fitting candidates only when called, then yields the block's
+    (triple, <d',dim X>, dim End X) in canonical order.  The pairings of d'
+    with the candidates and the Hom table over them are built only when
+    ``invariants`` is true; otherwise both invariants read 0.  Everything the
+    deficiency reads (q and d') is known without the search.
     """
-    cands, base = _tube_candidates(t, p)
+    cands = _tube_candidates(t, p)
     suffix_mask = [0] * (len(cands) + 1)
     for k in range(len(cands) - 1, -1, -1):
         suffix_mask[k] = suffix_mask[k + 1] | cands[k][2]
+    hom: list[list[int]] = []
 
-    def completions(dprime: DimVector, q: int) -> Iterator[ZTriple]:
+    def completions(dprime: DimVector, q: int, invariants: bool):
         budget = tuple(q - b for b in _flat(dprime))
-        needed = 0
-        for i, mi in enumerate(t.m, start=1):
-            for j in range(mi):
-                if dprime.entry(i, j) == dprime.entry(i, j + 1):
-                    needed |= 1 << (base[i] + j)
-        fits = [k for k, (_, dim, _) in enumerate(cands)
-                if all(x <= y for x, y in zip(dim, budget))]
-        return _extend(t, dprime, q, cands, fits, 0, budget,
-                       0, needed, suffix_mask, [])
+        # <d', e_{i,j}> = d'_{i,j} - d'_{i,j+1}, one entry per tube simple
+        pe = [a - b for arm in dprime.arms
+              for a, b in pairwise((dprime.d0, *arm, dprime.dinf))]
+        needed = sum(1 << s for s, v in enumerate(pe) if v == 0)
+        fits = [k for k, (_, dim, _, _) in enumerate(cands) if all(map(le, dim, budget))]
+        tables = None
+        if invariants:
+            if not hom:
+                hom.extend([hom_dim_tube(t, x, y) for y, *_ in cands]
+                           for x, *_ in cands)
+            pairs = [0] * len(cands)
+            for k in fits:
+                pairs[k] = sum(c * pe[s] for s, c in cands[k][3])
+            tables = pairs, hom
+        return _extend(t, dprime, q, cands, fits, budget,
+                       0, needed, suffix_mask, [], 0, 0, tables)
 
     for q in range(1, p + 1):
         for dprime in enumerate_P(t, q):
             if not dprime.is_zero():
                 yield q, dprime, partial(completions, dprime, q)
+
+
+def strata(t: CanonicalType, p: int,
+           cap: int = DEFAULT_ZCAP) -> Iterator[tuple[ZTriple, int, int, int, int]]:
+    """Every triple z of Z_p with <d',h>, <d',d'>, <d',dim X> and dim End X.
+
+    Yields (z, th, sd, pair, xx) in enumerate_Zp order.  th = d0 - dinf and
+    sd are taken once per (q, d') block; pair (linear in X) and xx (bilinear
+    in X) are carried through the completion search as each summand is
+    added.  Past ``cap`` triples the stream raises EnumerationCapExceeded.
+    """
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    emitted = 0
+    for _, dprime, triples in _blocks(t, p):
+        th, sd = dprime.d0 - dprime.dinf, euler_quadratic(t, dprime)
+        for z, pair, xx in triples(invariants=True):
+            emitted += 1
+            if emitted > cap:
+                raise EnumerationCapExceeded(
+                    f"cap {cap} exceeded enumerating Z_p for {t}, p={p}")
+            yield z, th, sd, pair, xx
 
 
 def enumerate_Zp(t: CanonicalType, p: int, cap: int = DEFAULT_ZCAP) -> Iterator[ZTriple]:
@@ -144,58 +186,34 @@ def enumerate_Zp(t: CanonicalType, p: int, cap: int = DEFAULT_ZCAP) -> Iterator[
     candidate index.  Componentwise budgets prune the multiset search; the
     stream aborts with EnumerationCapExceeded past ``cap`` triples.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    emitted = 0
-    for _, _, triples in _blocks(t, p):
-        for triple in triples():
-            emitted += 1
-            if emitted > cap:
-                raise EnumerationCapExceeded(
-                    f"cap {cap} exceeded enumerating Z_p for {t}, p={p}")
-            yield triple
+    for z, *_ in strata(t, p, cap):
+        yield z
 
 
-def _extend(t, dprime, q, cands, fits, start, budget, covered, needed,
-            suffix_mask, members) -> Iterator[ZTriple]:
-    if covered & needed == needed and _in_Q_flat(t, budget):
-        yield ZTriple(dprime, _unflat(t, budget),
-                      RegularModuleClass(tuple(members)), q)
-    for pos in range(start, len(fits)):
-        k = fits[pos]
-        missing = needed & ~covered
-        if missing and missing & ~suffix_mask[k]:
+def _extend(t, dprime, q, cands, fits, budget, covered, needed,
+            suffix_mask, members, pair, xx, tables):
+    if covered & needed == needed:
+        ddouble = _unflat(t, budget)
+        if in_Q(t, ddouble):
+            xclass = RegularModuleClass(tuple(cands[k][0] for k in members))
+            yield ZTriple(dprime, ddouble, xclass, q), pair, xx
+    missing = needed & ~covered
+    for pos, k in enumerate(fits):
+        if missing & ~suffix_mask[k]:
             break  # later candidates cannot supply the missing tops
-        x, dim, topbit = cands[k]
-        new_budget = tuple(a - b for a, b in zip(budget, dim))
-        if min(new_budget) < 0:
-            continue
-        sub_fits = [kk for kk in fits[pos:]
-                    if all(a <= b for a, b in zip(cands[kk][1], new_budget))]
-        members.append(x)
-        yield from _extend(t, dprime, q, cands, sub_fits, 0, new_budget,
-                           covered | topbit, needed, suffix_mask, members)
+        _, dim, topbit, _ = cands[k]
+        new_budget = tuple(map(sub, budget, dim))
+        sub_fits = [kk for kk in fits[pos:] if all(map(le, cands[kk][1], new_budget))]
+        new_pair = new_xx = 0
+        if tables:
+            pairs, hom = tables
+            new_pair = pair + pairs[k]
+            new_xx = xx + hom[k][k] + sum(hom[k][y] + hom[y][k] for y in members)
+        members.append(k)
+        yield from _extend(t, dprime, q, cands, sub_fits, new_budget,
+                           covered | topbit, needed, suffix_mask, members,
+                           new_pair, new_xx, tables)
         members.pop()
-
-
-def _in_Q_flat(t: CanonicalType, flat: tuple[int, ...]) -> bool:
-    d0, dinf = flat[0], flat[1]
-    if all(x == 0 for x in flat):
-        return True
-    if not 0 <= d0 < dinf:
-        return False
-    pos = 2
-    for mi in t.m:
-        prev = d0
-        for j in range(mi - 1):
-            cur = flat[pos + j]
-            if cur < prev:
-                return False
-            prev = cur
-        if dinf < prev:
-            return False
-        pos += mi - 1
-    return True
 
 
 def _deficiency(t: CanonicalType, p: int, q: int, th: int, sd: int) -> int:
@@ -233,19 +251,25 @@ def target_zero_dim(t: CanonicalType, p: int) -> int:
     return a_dim(t, p * basis_h(t)) - t.total - p - 1 + t.n
 
 
+def _is_equality(t: CanonicalType, p: int, q: int, th: int, pair: int, xx: int) -> bool:
+    """The four equality conditions marking a component stratum, from q,
+    <d',h>, <d',dim X> and dim End(X)."""
+    return th == 1 and q == p and pair == 0 and xx == t.total - t.n * th
+
+
 def plus_condition(t: CanonicalType, p: int, z: ZTriple) -> bool:
     """The four equality conditions marking a component stratum."""
     th = euler_form(t, z.dprime, basis_h(t))
     if th != 1 or z.q != p:
-        return False
-    if euler_form(t, z.dprime, dim_vector(t, z.xclass)) != 0:
-        return False
-    return end_dim(t, z.xclass) == t.total - t.n * th
+        return False  # skip the costly pairing and End(X)
+    return _is_equality(t, p, z.q, th, euler_form(t, z.dprime, dim_vector(t, z.xclass)),
+                        end_dim(t, z.xclass))
 
 
 def components_bruteforce(t: CanonicalType, p: int, cap: int = DEFAULT_ZCAP) -> list[ZTriple]:
     """All stratum labels satisfying the equality conditions, by exhaustion."""
-    return [z for z in enumerate_Zp(t, p, cap=cap) if plus_condition(t, p, z)]
+    return [z for z, th, _, pair, xx in strata(t, p, cap=cap)
+            if _is_equality(t, p, z.q, th, pair, xx)]
 
 
 def component_count_formula(t: CanonicalType, p: int) -> int:
@@ -339,15 +363,13 @@ def _negative_witness(t: CanonicalType, p: int,
     triple (if any) is the witness.  Past ``cap`` blocks the scan raises
     EnumerationCapExceeded.
     """
-    h = basis_h(t)
     for seen, (q, dprime, triples) in enumerate(_blocks(t, p), start=1):
         if seen > cap:
             raise EnumerationCapExceeded(
                 f"cap {cap} exceeded scanning the (q, d') blocks of Z_p for {t}, p={p}")
-        th = euler_form(t, dprime, h)
+        th = dprime.d0 - dprime.dinf
         if _deficiency(t, p, q, th, euler_quadratic(t, dprime)) < 0:
-            witness = next(triples(), None)
-            if witness is not None:
+            for witness, _, _ in triples(invariants=False):
                 return witness
     return None
 

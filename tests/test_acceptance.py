@@ -23,7 +23,7 @@ from canalg.oracle import (LambdaChoice, build_exceptional_simple,
                            random_cone_point)
 from canalg.tubes import RegularModuleClass, TubeIndec, dim_vector
 from canalg.zeroset import (ZTriple, component_count_formula,
-                            components_bruteforce, target_zero_dim,
+                            components_bruteforce, strata, target_zero_dim,
                             zeroset_threshold)
 
 SEED = 90210
@@ -41,7 +41,7 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 @lru_cache(maxsize=None)
 def _stats_222(pmax: int = 5):
-    return checks.zeroset_stats(CanonicalType((2, 2, 2)), pmax)
+    return tuple(strata(CanonicalType((2, 2, 2)), pmax))
 
 
 def test_criterion_1_boundary_type_reproduction():

@@ -1,6 +1,6 @@
 import pytest
 
-from canalg import checks
+from canalg import checks, zeroset
 from canalg.cones import EnumerationCapExceeded
 from canalg.forms import CanonicalType
 
@@ -33,11 +33,11 @@ def test_wild_margin_suite_entry():
 
 
 def test_stats_shape():
-    stats = checks.zeroset_stats(CanonicalType((2, 2, 2)), 2)
+    stats = list(zeroset.strata(CanonicalType((2, 2, 2)), 2))
     assert len(stats) == 94
     for z, th, sd, pair, xx in stats:
         assert th == z.dprime.d0 - z.dprime.dinf
         assert xx >= 0 and pair >= 0
-    assert len(checks.zeroset_stats(CanonicalType((2, 2, 2)), 2, cap=94)) == 94
+    assert len(list(zeroset.strata(CanonicalType((2, 2, 2)), 2, cap=94))) == 94
     with pytest.raises(EnumerationCapExceeded):
-        checks.zeroset_stats(CanonicalType((2, 2, 2)), 2, cap=93)
+        list(zeroset.strata(CanonicalType((2, 2, 2)), 2, cap=93))

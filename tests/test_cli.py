@@ -73,7 +73,19 @@ def test_witness(capsys):
     assert code == 0
     assert payload["p"] == 42
     assert payload["quadratic"] == -21
-    assert payload["violates"] == "strict_only"
+    assert payload["criterion_value"] > 0
+    assert payload["violates"] == "none"
+
+
+@pytest.mark.parametrize("arms, value, violates", [
+    ("5,5,5,5,5", 0, "strict_only"),
+    ("3,3,3,3,3,3,3", -3**13, "weak"),  # (1 - delta)*p^2 at p = 3^7
+])
+def test_witness_on_and_below_boundary(capsys, arms, value, violates):
+    code, payload, _ = run_json(capsys, "witness", "--type", arms)
+    assert code == 0
+    assert payload["criterion_value"] == value
+    assert payload["violates"] == violates
 
 
 def test_verify_exit_zero(capsys):
@@ -82,6 +94,16 @@ def test_verify_exit_zero(capsys):
     assert code == 0
     assert "seed: 7" in out
     assert "all checks passed" in out
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--pmax", "0"), ("--pmax", "-3"), ("--samples", "0"), ("--samples", "-1"),
+])
+def test_verify_rejects_empty_runs(capsys, option, value):
+    code, out, err = run(capsys, "verify", "--type", "2,2,2", option, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {option} must be >= 1, got {value}\n"
 
 
 def test_oracle_subcommand(capsys):

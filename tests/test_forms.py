@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from canalg.forms import (CanonicalType, DimVector, a_dim, basis_e, basis_e0,
-                          basis_einf, basis_h, delta, euler_form,
+                          basis_einf, basis_h, euler_form,
                           euler_quadratic, format_dim_vector,
                           parse_dim_vector, quadratic_lower_bound,
                           quadratic_via_decomposition, slope_one_vector,
@@ -36,11 +36,11 @@ def test_type_invariants():
 
 
 def test_delta_values():
-    assert delta(T236) == 0
-    assert delta(T237) == Fraction(1, 84)
-    assert delta(T5) == 1
-    assert delta(T222) == Fraction(-1, 4)
-    assert delta(CanonicalType((3,) * 7)) == Fraction(4, 3)
+    assert T236.delta == 0
+    assert T237.delta == Fraction(1, 84)
+    assert T5.delta == 1
+    assert T222.delta == Fraction(-1, 4)
+    assert CanonicalType((3,) * 7).delta == Fraction(4, 3)
 
 
 def test_euler_form_h_isotropic():

@@ -5,15 +5,17 @@ from math import prod
 import pytest
 
 from canalg.cones import EnumerationCapExceeded, decompose_slope_one
-from canalg.forms import (CanonicalType, basis_e, basis_e0, basis_einf,
-                          basis_h, euler_form)
-from canalg.tubes import RegularModuleClass, TubeIndec
+from canalg.forms import (CanonicalType, basis_e0, basis_einf, basis_h,
+                          euler_form, euler_quadratic)
+from canalg.tubes import RegularModuleClass, TubeIndec, dim_vector, end_dim
 from canalg.zeroset import (OutsideProvenRange, ZeroSetReport, ZTriple,
-                            _negative_witness, check_wild_margin, component_count_formula,
+                            _is_equality, _negative_witness, check_wild_margin,
+                            component_count_formula,
                             components_bruteforce, count_valid_from, diff,
                             enumerate_Zp, equality_stratum_count,
-                            plus_condition, stratum_dim, target_zero_dim,
-                            wild_margin, zeroset_is_ci, zeroset_threshold)
+                            plus_condition, strata, stratum_dim,
+                            target_zero_dim, wild_margin, zeroset_is_ci,
+                            zeroset_threshold)
 
 T222 = CanonicalType((2, 2, 2))
 T236 = CanonicalType((2, 3, 6))
@@ -195,6 +197,26 @@ def test_zeroset_is_ci_matches_naive_scan():
             assert witness.is_member(t, p) and diff(t, p, witness) < 0, (arms, p)
         answers.add(naive)
     assert answers == {True, False}
+
+
+def test_strata_matches_per_triple_route():
+    # Reference: the per-triple Euler forms and End dimension, cached per d'
+    # and per module class only to keep the scan short.
+    for arms, pmax in (((2, 2, 2), 4), ((2, 2, 2, 2), 3), ((2, 3, 3), 3)):
+        t = CanonicalType(arms)
+        h = basis_h(t)
+        by_dprime, by_class = {}, {}
+        for z, th, sd, pair, xx in strata(t, pmax):
+            if z.dprime not in by_dprime:
+                by_dprime[z.dprime] = (euler_form(t, z.dprime, h),
+                                       euler_quadratic(t, z.dprime))
+            if z.xclass not in by_class:
+                by_class[z.xclass] = (dim_vector(t, z.xclass), end_dim(t, z.xclass))
+            dim_x, end_x = by_class[z.xclass]
+            assert (th, sd) == by_dprime[z.dprime], z
+            assert (pair, xx) == (euler_form(t, z.dprime, dim_x), end_x), z
+            for p in {z.q, pmax}:
+                assert _is_equality(t, p, z.q, th, pair, xx) == plus_condition(t, p, z), z
 
 
 def test_zeroset_is_ci_cap_counts_blocks():
