@@ -387,15 +387,16 @@ def oracle_suite(t: CanonicalType, lam: oracle.LambdaChoice | None = None,
     return out
 
 
-def run_all(t: CanonicalType, pmax: int = 4, seed: int = 0,
-            samples: int = 1000) -> list[CheckResult]:
-    """Every suite applicable to the type, with seeded randomness."""
+def run_all(t: CanonicalType, pmax: int = 4, seed: int = 0, samples: int = 1000,
+            cap: int = zeroset.DEFAULT_ZCAP) -> list[CheckResult]:
+    """Every suite applicable to the type, with seeded randomness; the zero-set
+    suite raises EnumerationCapExceeded past `cap` triples."""
     rng = random.Random(seed)
     results = []
     results += forms_suite(t, rng, samples)
     results += cones_suite(t, rng, samples)
     results += geometry_suite(t, pmax)
     results += tubes_suite(t)
-    results += zeroset_suite(t, min(pmax, zeroset.BRUTE_P_LIMIT))
+    results += zeroset_suite(t, min(pmax, zeroset.BRUTE_P_LIMIT), cap=cap)
     results += oracle_suite(t)
     return results

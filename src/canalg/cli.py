@@ -63,15 +63,7 @@ def cmd_classify(args) -> int:
 
 def cmd_ci(args) -> int:
     t = CanonicalType.parse(args.type)
-    report = geometry.GeometryReport.compute(t, args.p, cap=args.cap)
-    payload = {
-        "p": report.p,
-        "is_ci": report.is_ci,
-        "is_normal": report.is_normal,
-        "components": len(report.components) if report.is_ci else None,
-        "defect": report.defect,
-    }
-    _emit(payload, args.format)
+    _emit(geometry.ci_summary(t, args.p), args.format)
     return 0
 
 
@@ -115,7 +107,8 @@ def cmd_verify(args) -> int:
     for option, value in (("--pmax", args.pmax), ("--samples", args.samples)):
         if value < 1:
             raise ValueError(f"{option} must be >= 1, got {value}")
-    results = checks.run_all(t, pmax=args.pmax, seed=args.seed, samples=args.samples)
+    results = checks.run_all(t, pmax=args.pmax, seed=args.seed, samples=args.samples,
+                             cap=args.cap)
     all_ok = all(r.ok for r in results)
     if args.format == "json":
         payload = {
@@ -181,33 +174,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, with_p=False, cap=DEFAULT_CAP,
                cap_help="enumeration cap; exceeding it is an error"):
+        """--type and --format; --p when with_p; --cap unless cap_help is None."""
         sp.add_argument("--type", required=True,
                         help="comma-separated arm lengths, e.g. 2,3,6")
         sp.add_argument("--format", choices=["text", "json"], default="text")
-        sp.add_argument("--cap", type=int, default=cap, help=cap_help)
+        if cap_help is not None:
+            sp.add_argument("--cap", type=int, default=cap, help=cap_help)
         if with_p:
             sp.add_argument("--p", type=int, required=True,
                             help="level: analyses run at dimension vector p*h")
 
-    common(sub.add_parser("classify", help="type invariants and classification"))
+    common(sub.add_parser("classify", help="type invariants and classification"),
+           cap_help=None)
     common(sub.add_parser("ci", help="complete-intersection / normality decision"),
-           with_p=True)
+           with_p=True,
+           cap_help="unused: ci counts the components without listing them; "
+                    "accepted so existing command lines still parse")
     common(sub.add_parser("components", help="list irreducible components"),
            with_p=True)
     common(sub.add_parser("zeroset", help="zero-set report at level p"), with_p=True,
            cap=zeroset.DEFAULT_ZCAP,
            cap_help="most (q, d') blocks of Z_p scanned inside the enumeration "
                     "window; exceeding it is an error")
-    common(sub.add_parser("witness", help="explicit criterion-violating vector"))
+    common(sub.add_parser("witness", help="explicit criterion-violating vector"),
+           cap_help=None)
 
     sp = sub.add_parser("verify", help="run all invariant suites")
-    common(sp)
+    common(sp, cap=zeroset.DEFAULT_ZCAP,
+           cap_help="most triples of Z_pmax the zero-set suite reads; exceeding "
+                    "it is an error")
     sp.add_argument("--pmax", type=int, default=4)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--samples", type=int, default=300)
 
     sp = sub.add_parser("oracle", help="matrix-level validation of the tube model")
-    common(sp)
+    common(sp, cap_help=None)
     sp.add_argument("--lambdas", default=None,
                     help="comma-separated rationals for the tube points 3..n")
     sp.add_argument("--mu", default=None,

@@ -8,6 +8,7 @@ with every arm chain nonincreasing from d0 down to dinf.  Q is the dual cone
 from __future__ import annotations
 
 from itertools import pairwise, product
+from math import comb, prod
 from typing import Iterator
 
 from .forms import CanonicalType, DimVector, _check_shape, zero_vector
@@ -71,23 +72,10 @@ def count_P(t: CanonicalType, p: int) -> int:
     """Cardinality of the enumerate_P stream, without materializing it."""
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p}")
-    total = 1
-    for d0 in range(1, p + 1):
-        for dinf in range(d0):
-            block = 1
-            for mi in t.m:
-                block *= _count_chains(mi - 1, d0 - dinf + 1)
-            total += block
-    return total
-
-
-def _count_chains(length: int, values: int) -> int:
-    # multiset coefficient C(length + values - 1, length)
-    num, den = 1, 1
-    for k in range(1, length + 1):
-        num *= values + k - 1
-        den *= k
-    return num // den
+    # per arm, the nonincreasing chains of length m_i - 1 over d0 - dinf + 1
+    # values: a multiset coefficient
+    return 1 + sum(prod(comb(mi - 1 + d0 - dinf, mi - 1) for mi in t.m)
+                   for d0 in range(1, p + 1) for dinf in range(d0))
 
 
 def decompose_slope_one(t: CanonicalType, d: DimVector) -> tuple[int, tuple[int, ...]]:

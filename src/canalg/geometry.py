@@ -114,6 +114,15 @@ def _components(t: CanonicalType, p: int, least: int, tight: list[int],
     return out
 
 
+def ci_summary(t: CanonicalType, p: int) -> dict:
+    """CI and normality decision, component count (None unless CI) and defect
+    from one slice pass, listing no component."""
+    least, tight = _slices(t, p)
+    return {"p": p, "is_ci": least >= 0, "is_normal": least > 0,
+            "components": _count(t, p, tight) if least >= 0 else None,
+            "defect": min(0, least)}
+
+
 def ci_defect(t: CanonicalType, p: int) -> int:
     """Minimum of <d, d> + p*(d0 - dinf) over d in P with d0 <= p.
 

@@ -1,20 +1,19 @@
-"""Small exact linear algebra kit over `fractions.Fraction`.
+"""Small exact linear algebra kit.
 
-Matrices are tuples of row tuples.  Zero-dimensional shapes (no rows, or rows
-of length zero) are legal and arise constantly from vertices carrying the zero
-space; callers that compose chains through zero spaces must short-circuit to
-an explicit zero matrix since an empty matrix carries no column count.
+Matrices are tuples of row tuples of `fractions.Fraction`; `rank` takes sparse
+integer rows instead.  Zero-dimensional shapes (no rows, or rows of length
+zero) are legal and arise constantly from vertices carrying the zero space;
+callers that compose chains through zero spaces must short-circuit to an
+explicit zero matrix since an empty matrix carries no column count.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-def mat(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+SparseRow = dict[int, int]
 
 
 def zeros(nrows: int, ncols: int) -> Matrix:
@@ -26,16 +25,23 @@ def eye(n: int) -> Matrix:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Product of a and b; zero entries of either factor are skipped."""
     if not a:
         return ()
     nca = len(a[0])
     if nca != len(b):
         raise ValueError(f"shape mismatch: {len(a)}x{nca} @ {len(b)}x?")
     ncb = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(nca)), Fraction(0))
-              for j in range(ncb))
-        for i in range(len(a)))
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * ncb
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -66,37 +72,31 @@ def block_diag(a: Matrix, b: Matrix, acols: int, bcols: int) -> Matrix:
     return tuple(out)
 
 
-def rank(a) -> int:
-    """Rank by exact Gaussian elimination."""
-    rows = [list(row) for row in a if any(x != 0 for x in row)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
+def rank(rows: list[SparseRow]) -> int:
+    """Rank of sparse integer rows {column: nonzero int}, by exact elimination.
+
+    Fraction-free: each pivot is keyed by its leading (least) column and
+    divided by the gcd of its entries; an incoming row is reduced by
+    a*row - b*pivot with a/b the pivot's and the row's leading entries over
+    their gcd, until it vanishes or leads at a column with no pivot yet.
+    """
+    pivots: dict[int, SparseRow] = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                g = gcd(*row.values())
+                pivots[lead] = {c: x // g for c, x in row.items()}
                 break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][col]
-            if f == 0:
-                continue
-            ratio = f / pv
-            row_i, row_r = rows[i], rows[r]
-            for j in range(col, ncols):
-                row_i[j] -= ratio * row_r[j]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
-def nullity(a, ncols: int) -> int:
-    """Dimension of the solution space of a @ x = 0 in `ncols` unknowns."""
-    return ncols - rank(a)
+            g = gcd(pivot[lead], row[lead])
+            a, b = pivot[lead] // g, row[lead] // g
+            reduced = {c: a * x for c, x in row.items()}
+            for c, x in pivot.items():
+                y = reduced.get(c, 0) - b * x
+                if y:
+                    reduced[c] = y
+                else:
+                    del reduced[c]
+            row = reduced
+    return len(pivots)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .cones import in_P, in_Q
@@ -326,7 +327,8 @@ def hom_dim_linear(t: CanonicalType, lam: LambdaChoice,
     """dim Hom computed as the exact nullity of the intertwining system.
 
     Unknowns are the per-vertex blocks f_x of shape dim_N(x) x dim_M(x);
-    each arrow (i, j) imposes f_{(i,j-1)} M_{i,j} = N_{i,j} f_{(i,j)}.
+    each arrow (i, j) imposes f_{(i,j-1)} M_{i,j} = N_{i,j} f_{(i,j)}.  The
+    rows go to `linalg.rank` as sparse integer rows.
     """
     for rep in (m_rep, n_rep):
         if not check_relations(t, lam, rep):
@@ -347,25 +349,30 @@ def hom_dim_linear(t: CanonicalType, lam: LambdaChoice,
             return "inf"
         return (i, j)
 
-    rows: list[list[Fraction]] = []
+    # Row (i, j, r, c) is entry (r, c) of f_w M_{i,j} - N_{i,j} f_v; the
+    # blocks of f_w and f_v never share a column, so its nonzero entries are
+    # those of column c of M_{i,j} and of row r of N_{i,j}, cleared of their
+    # denominators into one integer row.
+    rows: list[linalg.SparseRow] = []
     for i in range(1, t.n + 1):
         for j in range(1, t.m[i - 1] + 1):
             w, v = vkey(i, j - 1), vkey(i, j)
             dnw = _vertex_dim(t, n_rep.dim, w)
             dmw = _vertex_dim(t, m_rep.dim, w)
-            dnv = _vertex_dim(t, n_rep.dim, v)
             dmv = _vertex_dim(t, m_rep.dim, v)
             if dnw * dmv == 0:
                 continue
             m_mat = m_rep.mat(i, j)
-            n_mat = n_rep.mat(i, j)
+            m_cols = [[(offsets[w] + k, m_mat[k][c]) for k in range(dmw) if m_mat[k][c]]
+                      for c in range(dmv)]
+            n_rows = [[(offsets[v] + k * dmv, -x) for k, x in enumerate(row) if x]
+                      for row in n_rep.mat(i, j)]
             for r in range(dnw):
                 for c in range(dmv):
-                    row = [Fraction(0)] * ncols
-                    for k in range(dmw):
-                        row[offsets[w] + r * dmw + k] += m_mat[k][c]
-                    for k in range(dnv):
-                        row[offsets[v] + k * dmv + c] -= n_mat[r][k]
-                    if any(x != 0 for x in row):
-                        rows.append(row)
-    return linalg.nullity(rows, ncols)
+                    row = {col + r * dmw: x for col, x in m_cols[c]}
+                    row.update((col + c, x) for col, x in n_rows[r])
+                    if row:
+                        scale = lcm(*(x.denominator for x in row.values()))
+                        rows.append({col: x.numerator * (scale // x.denominator)
+                                     for col, x in row.items()})
+    return ncols - linalg.rank(rows)

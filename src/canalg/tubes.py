@@ -121,12 +121,9 @@ def hom_dim_tube(t: CanonicalType, x: TubeIndec, y: TubeIndec) -> int:
     if x.arm != y.arm:
         return 0
     mi = t.arm_length(x.arm)
-    residue = (x.socle + x.qlen - y.socle) % mi
-    count = 0
-    for j in range(1, min(x.qlen, y.qlen) + 1):
-        if j % mi == residue:
-            count += 1
-    return count
+    # the admissible j are residue, residue + m, ... (m, 2m, ... for residue 0)
+    first = (x.socle + x.qlen - y.socle) % mi or mi
+    return (min(x.qlen, y.qlen) - first) // mi + 1
 
 
 def hom_dim_regular(t: CanonicalType, xs: ClassLike, ys: ClassLike) -> int:

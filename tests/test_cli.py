@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from canalg import cli, cones, zeroset
+from canalg import cli, cones, geometry, zeroset
 from canalg.cli import main
+from canalg.forms import CanonicalType
 
 
 def run(capsys, *argv):
@@ -175,10 +176,60 @@ def test_internal_error_exits_3(capsys, monkeypatch):
 
 def test_cap_defaults_follow_library():
     parser = cli.build_parser()
-    for command in ["classify", "ci", "components", "zeroset", "witness",
-                    "verify", "oracle"]:
+    for command in ["ci", "components", "zeroset", "verify"]:
         argv = [command, "--type", "2,2,2"]
         if command in ("ci", "components", "zeroset"):
             argv += ["--p", "3"]
-        want = zeroset.DEFAULT_ZCAP if command == "zeroset" else cones.DEFAULT_CAP
+        want = zeroset.DEFAULT_ZCAP if command in ("zeroset", "verify") else cones.DEFAULT_CAP
         assert parser.parse_args(argv).cap == want
+    for command in ["classify", "witness", "oracle"]:
+        assert not hasattr(parser.parse_args([command, "--type", "2,2,2"]), "cap")
+
+
+@pytest.mark.parametrize("command", ["classify", "witness", "oracle"])
+def test_cap_not_offered_where_unused(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--type", "2,2,2", "--cap", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 1" in capsys.readouterr().err
+
+
+def test_ci_counts_components_without_listing(capsys):
+    # 7777 components: listing them under --cap 100 used to exit 2
+    code, payload, _ = run_json(capsys, "ci", "--type", "6,6,6,6,6", "--p", "5",
+                                "--cap", "100")
+    assert code == 0
+    assert payload == {"p": 5, "is_ci": True, "is_normal": False,
+                       "components": 7777, "defect": 0}
+    assert payload["components"] == geometry.component_count(CanonicalType((6,) * 5), 5)
+    code, payload, _ = run_json(capsys, "ci", "--type", "3,3,3,3,3,3,3", "--p", "3")
+    assert code == 0 and payload["is_ci"] is False and payload["components"] is None
+
+
+def test_verify_cap_bounds_zero_set_triples(capsys):
+    # Z_2 at (2,2,2) holds 94 triples
+    argv = ("verify", "--type", "2,2,2", "--pmax", "2", "--samples", "10")
+    code, out, _ = run(capsys, *argv, "--cap", "94")
+    assert code == 0 and "all checks passed" in out
+    code, out, err = run(capsys, *argv, "--cap", "93")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cap 93 exceeded") and err.count("\n") == 1
+    code, out, err = run(capsys, *argv, "--cap", "1")
+    assert code == 2 and err.startswith("error: cap 1 exceeded")
+
+
+def test_oracle_rational_parameters(capsys):
+    code, payload, _ = run_json(capsys, "oracle", "--type", "2,2,3,4",
+                                "--lambdas", "1/3,5/2", "--mu", "7/3", "--full",
+                                "--sizes", "4")
+    assert code == 0 and payload["all_ok"] is True
+    assert payload["lambdas"] == ["1/3", "5/2"]
+    assert any(r["name"] == "oracle/homogeneous[2,2,3,4]" for r in payload["results"])
+    code, payload, _ = run_json(capsys, "oracle", "--type", "2,3,4", "--lambdas", "1/3",
+                                "--mu", "7/3", "--full", "--sizes", "4")
+    assert code == 0 and payload["all_ok"] is True
+    # (2,3,4) has one tube parameter
+    code, out, err = run(capsys, "oracle", "--type", "2,3,4", "--lambdas", "1/3,5/2",
+                         "--mu", "7/3", "--full", "--sizes", "4")
+    assert code == 2 and out == ""
+    assert err == "error: need 1 parameters for 2,3,4, got 2\n"

@@ -10,6 +10,7 @@ from canalg.oracle import (LambdaChoice, MatrixRep, build_exceptional_simple,
                            check_relations, direct_sum, hom_dim_linear,
                            random_cone_point)
 from canalg.tubes import TubeIndec, dim_vector, hom_dim_tube
+from test_linalg import dense_rank
 
 T222 = CanonicalType((2, 2, 2))
 T234 = CanonicalType((2, 3, 4))
@@ -164,3 +165,75 @@ def test_serialization():
     assert d["dim"] == "1;1/1/1;1"
     assert d["matrices"]["1:1"] == [["-5/2"]]
     assert d["lambdas"] == ["1/1"]
+
+
+@pytest.mark.parametrize("arms, lambdas, mu", [
+    ((2, 3, 4), (Fraction(1, 3),), Fraction(7, 3)),
+    ((2, 2, 3, 4), (Fraction(1, 3), Fraction(5, 2)), Fraction(7, 3)),
+])
+def test_hom_dim_linear_rational_parameters(arms, lambdas, mu):
+    # rows carry entries such as -7/3 beside 1, so each must be cleared of its
+    # own denominators before elimination
+    t = CanonicalType(arms)
+    lam = LambdaChoice(lambdas)
+    tube = []
+    for i, mi in enumerate(t.m, start=1):
+        tube += [(TubeIndec(i, j, 1), build_exceptional_simple(t, lam, i, j))
+                 for j in range(mi)]
+        tube += [(TubeIndec(i, a, 2), build_length_two(t, lam, i, a)) for a in range(mi)]
+    for x, xrep in tube:
+        for y, yrep in tube:
+            assert hom_dim_linear(t, lam, xrep, yrep) == hom_dim_tube(t, x, y), (x, y)
+    homog = [(s, build_homogeneous(t, lam, mu, s)) for s in range(1, 5)]
+    for s, hrep in homog:
+        for s2, hrep2 in homog:
+            assert hom_dim_linear(t, lam, hrep, hrep2) == min(s, s2)
+        for x, xrep in tube:
+            assert hom_dim_linear(t, lam, hrep, xrep) == 0
+            assert hom_dim_linear(t, lam, xrep, hrep) == 0
+
+
+def _dense_hom(t, m_rep, n_rep) -> int:
+    """Naive reference for dim Hom: one unknown per entry of each f_x, one
+    dense Fraction row per entry of each arrow equation f_w M = N f_v."""
+    def key(i, j):
+        return "0" if j == 0 else "inf" if j == t.m[i - 1] else (i, j)
+
+    dims = {key(i, j): (m_rep.dim.entry(i, j), n_rep.dim.entry(i, j))
+            for i, mi in enumerate(t.m, start=1) for j in range(mi + 1)}
+    unknowns = [(x, r, c) for x, (dm, dn) in dims.items()
+                for r in range(dn) for c in range(dm)]
+    index = {u: k for k, u in enumerate(unknowns)}
+    rows = []
+    for i, mi in enumerate(t.m, start=1):
+        for j in range(1, mi + 1):
+            w, v = key(i, j - 1), key(i, j)
+            a, b = m_rep.mat(i, j), n_rep.mat(i, j)
+            for r in range(dims[w][1]):
+                for c in range(dims[v][0]):
+                    row = [Fraction(0)] * len(unknowns)
+                    for k in range(dims[w][0]):
+                        row[index[w, r, k]] += a[k][c]
+                    for k in range(dims[v][1]):
+                        row[index[v, k, c]] -= b[r][k]
+                    rows.append(row)
+    return len(unknowns) - dense_rank(rows)
+
+
+def test_hom_dim_linear_matches_dense_reference_on_rational_points():
+    # random cone points under rational lambdas have arrows mixing integer
+    # and non-integer entries in one column
+    t = CanonicalType((2, 2, 2, 2))
+    lam = LambdaChoice((Fraction(1, 3), Fraction(5, 2)))
+    h = basis_h(t)
+    rng = random.Random(3)
+    points = [random_cone_point(t, lam, d, rng) for d in (
+        slope_one_vector(t, (1, 0, 1, 0)), h + slope_one_vector(t, (1, 1, 0, 0)),
+        2 * h + slope_one_vector(t, (0, 0, 1, 1)), h + basis_einf(t))]
+    mods = points + [build_exceptional_simple(t, lam, i, j)
+                     for i in range(1, 5) for j in range(2)]
+    mods.append(build_homogeneous(t, lam, Fraction(7, 3), 2))
+    for a in points:
+        for b in mods:
+            assert hom_dim_linear(t, lam, a, b) == _dense_hom(t, a, b)
+            assert hom_dim_linear(t, lam, b, a) == _dense_hom(t, b, a)

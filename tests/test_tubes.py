@@ -91,3 +91,22 @@ def test_validation():
         TubeIndec(1, 0, 0)
     with pytest.raises(ValueError):
         hom_to_simple_nonzero(T222, RegularModuleClass(()), 1, 2)
+
+
+def _hom_dim_tube_loop(t, x, y):
+    """Reference: count the segment lengths one by one."""
+    if x.arm != y.arm:
+        return 0
+    mi = t.arm_length(x.arm)
+    residue = (x.socle + x.qlen - y.socle) % mi
+    return sum(1 for j in range(1, min(x.qlen, y.qlen) + 1) if j % mi == residue)
+
+
+def test_hom_dim_tube_matches_segment_loop():
+    for m in range(2, 8):
+        t = CanonicalType((m, 2, 2))
+        mods = [TubeIndec(arm, a, l) for arm in (1, 2) for a in range(t.m[arm - 1])
+                for l in range(1, 3 * m + 3)]
+        for x in mods:
+            for y in mods:
+                assert hom_dim_tube(t, x, y) == _hom_dim_tube_loop(t, x, y), (m, x, y)
