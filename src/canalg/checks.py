@@ -302,6 +302,10 @@ def zeroset_suite(t: CanonicalType, pmax: int = 4,
             ok = not tally["split", p]
             out.append(CheckResult(f"zeroset/equality-strata[{t},p={p}]", ok,
                                    "" if ok else f"{tally['flat', p]} vs {tally['plus', p]}"))
+        least = zeroset._least_deficiency(t, p)[0]
+        ok = (tally["negative", p] == 0) == (least >= 0)
+        out.append(CheckResult(f"zeroset/closed-form-decision[{t},p={p}]", ok,
+                               "" if ok else f"least {least}, {tally['negative', p]} negative"))
         want = zeroset.equality_stratum_count(t, p)
         ok = tally["plus", p] == want
         out.append(CheckResult(f"zeroset/parametrized-count[{t},p={p}]", ok,

@@ -81,7 +81,7 @@ def cmd_components(args) -> int:
 
 def cmd_zeroset(args) -> int:
     t = CanonicalType.parse(args.type)
-    report = zeroset.ZeroSetReport.compute(t, args.p, cap=args.cap)
+    report = zeroset.ZeroSetReport.compute(t, args.p)
     _emit(report.to_dict(), args.format)
     return 0
 
@@ -187,15 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("classify", help="type invariants and classification"),
            cap_help=None)
     common(sub.add_parser("ci", help="complete-intersection / normality decision"),
-           with_p=True,
-           cap_help="unused: ci counts the components without listing them; "
-                    "accepted so existing command lines still parse")
+           with_p=True, cap_help=None)
     common(sub.add_parser("components", help="list irreducible components"),
            with_p=True)
     common(sub.add_parser("zeroset", help="zero-set report at level p"), with_p=True,
-           cap=zeroset.DEFAULT_ZCAP,
-           cap_help="most (q, d') blocks of Z_p scanned inside the enumeration "
-                    "window; exceeding it is an error")
+           cap_help=None)
     common(sub.add_parser("witness", help="explicit criterion-violating vector"),
            cap_help=None)
 

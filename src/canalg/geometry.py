@@ -70,6 +70,12 @@ def _arm_min_chains(mi: int, s: int) -> list[tuple[int, ...]]:
     return chains
 
 
+def _slice_form(t: CanonicalType, s: int) -> int:
+    """Least <d, d> over d in P with d0 = s and dinf = 0, attained by the
+    vectors whose arms are chains of _arm_min_chains."""
+    return s * s + sum(_arm_min(mi, s) for mi in t.m)
+
+
 def _slices(t: CanonicalType, p: int) -> tuple[int, list[int]]:
     """Least slice cost and the tight slices, in one pass over s in [1, p].
 
@@ -80,7 +86,7 @@ def _slices(t: CanonicalType, p: int) -> tuple[int, list[int]]:
         raise ValueError(f"p must be >= 1, got {p}")
     least, tight = p + 1, []  # the cost of slice 1, whose arms all cost 0
     for s in range(1, p + 1):
-        cost = p * s + s * s + sum(_arm_min(mi, s) for mi in t.m)
+        cost = p * s + _slice_form(t, s)
         least = min(least, cost)
         if cost == 0:
             tight.append(s)

@@ -7,6 +7,13 @@ to q*h for some q <= p, such that every tube simple (i, j) is "seen": either
 d' pairs nontrivially against e_{i,j} or X maps onto that simple.  Strata are
 irreducible of known dimension; the decision and the component count reduce to
 the sign of an integer deficiency function over Z_p.
+
+The deficiency reads only the level q and d', and its least value over Z_p
+has a closed form: the term (p-q)<d',h> is never negative, so the least is at
+q = p, and on each slice <d',h> = s the least <d',d'> is the geometry slice
+minimum.  The decision is one O(n*p) pass over s in [1, p]; a negative
+minimum is attained by a triple built from the minimizing slice, which is
+rechecked as a member of Z_p.  Only the consumers of all of Z_p enumerate it.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import combinations, pairwise
 from math import prod
 from operator import le, sub
@@ -29,8 +35,8 @@ from .tubes import (RegularModuleClass, TubeIndec, dim_vector, end_dim, hom_dim_
 
 DEFAULT_ZCAP = 5 * 10**6
 
-# Exhaustive Z_p enumeration is desk-scale only; beyond these limits the
-# closed bounds are the only available route.
+# checks.zeroset_suite reads all of Z_p, which is desk-scale only, so it runs
+# its enumerated checks only within these limits.
 BRUTE_PRODUCT_LIMIT = 20
 BRUTE_P_LIMIT = 6
 
@@ -115,68 +121,47 @@ def _tube_candidates(t: CanonicalType, level: int):
     return out
 
 
-def _blocks(t: CanonicalType, p: int):
-    """Every (q, d', triples) with q <= p and d' nonzero in enumerate_P(t, q).
-
-    ``triples(invariants)`` runs the completion search for that block lazily:
-    it builds the budget, the mask of tube simples d' leaves unseen and the
-    fitting candidates only when called, then yields the block's
-    (triple, <d',dim X>, dim End X) in canonical order.  The pairings of d'
-    with the candidates and the Hom table over them are built only when
-    ``invariants`` is true; otherwise both invariants read 0.  Everything the
-    deficiency reads (q and d') is known without the search.
-    """
-    cands = _tube_candidates(t, p)
-    suffix_mask = [0] * (len(cands) + 1)
-    for k in range(len(cands) - 1, -1, -1):
-        suffix_mask[k] = suffix_mask[k + 1] | cands[k][2]
-    hom: list[list[int]] = []
-
-    def completions(dprime: DimVector, q: int, invariants: bool):
-        budget = tuple(q - b for b in _flat(dprime))
-        # <d', e_{i,j}> = d'_{i,j} - d'_{i,j+1}, one entry per tube simple
-        pe = [a - b for arm in dprime.arms
-              for a, b in pairwise((dprime.d0, *arm, dprime.dinf))]
-        needed = sum(1 << s for s, v in enumerate(pe) if v == 0)
-        fits = [k for k, (_, dim, _, _) in enumerate(cands) if all(map(le, dim, budget))]
-        tables = None
-        if invariants:
-            if not hom:
-                hom.extend([hom_dim_tube(t, x, y) for y, *_ in cands]
-                           for x, *_ in cands)
-            pairs = [0] * len(cands)
-            for k in fits:
-                pairs[k] = sum(c * pe[s] for s, c in cands[k][3])
-            tables = pairs, hom
-        return _extend(t, dprime, q, cands, fits, budget,
-                       0, needed, suffix_mask, [], 0, 0, tables)
-
-    for q in range(1, p + 1):
-        for dprime in enumerate_P(t, q):
-            if not dprime.is_zero():
-                yield q, dprime, partial(completions, dprime, q)
-
-
 def strata(t: CanonicalType, p: int,
            cap: int = DEFAULT_ZCAP) -> Iterator[tuple[ZTriple, int, int, int, int]]:
     """Every triple z of Z_p with <d',h>, <d',d'>, <d',dim X> and dim End X.
 
-    Yields (z, th, sd, pair, xx) in enumerate_Zp order.  th = d0 - dinf and
-    sd are taken once per (q, d') block; pair (linear in X) and xx (bilinear
-    in X) are carried through the completion search as each summand is
-    added.  Past ``cap`` triples the stream raises EnumerationCapExceeded.
+    Yields (z, th, sd, pair, xx) in enumerate_Zp order.  The triples come in
+    (q, d') blocks, one per nonzero d' in enumerate_P(t, q) for q <= p;
+    th = d0 - dinf, sd and the pairings of d' with the fitting tube
+    candidates are taken once per block, and pair (linear in X) and xx
+    (bilinear in X, from a Hom table over the candidates) are carried
+    through the completion search as each summand is added.  Past ``cap``
+    triples the stream raises EnumerationCapExceeded.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
+    cands = _tube_candidates(t, p)
+    suffix_mask = [0] * (len(cands) + 1)
+    for k in range(len(cands) - 1, -1, -1):
+        suffix_mask[k] = suffix_mask[k + 1] | cands[k][2]
+    hom = [[hom_dim_tube(t, x, y) for y, *_ in cands] for x, *_ in cands]
     emitted = 0
-    for _, dprime, triples in _blocks(t, p):
-        th, sd = dprime.d0 - dprime.dinf, euler_quadratic(t, dprime)
-        for z, pair, xx in triples(invariants=True):
-            emitted += 1
-            if emitted > cap:
-                raise EnumerationCapExceeded(
-                    f"cap {cap} exceeded enumerating Z_p for {t}, p={p}")
-            yield z, th, sd, pair, xx
+    for q in range(1, p + 1):
+        for dprime in enumerate_P(t, q):
+            if dprime.is_zero():
+                continue
+            th, sd = dprime.d0 - dprime.dinf, euler_quadratic(t, dprime)
+            budget = tuple(q - b for b in _flat(dprime))
+            # <d', e_{i,j}> = d'_{i,j} - d'_{i,j+1}, one entry per tube simple
+            pe = [a - b for arm in dprime.arms
+                  for a, b in pairwise((dprime.d0, *arm, dprime.dinf))]
+            needed = sum(1 << s for s, v in enumerate(pe) if v == 0)
+            fits = [k for k, (_, dim, _, _) in enumerate(cands) if all(map(le, dim, budget))]
+            pairs = [0] * len(cands)
+            for k in fits:
+                pairs[k] = sum(c * pe[s] for s, c in cands[k][3])
+            for z, pair, xx in _extend(t, dprime, q, cands, fits, budget, 0, needed,
+                                       suffix_mask, [], 0, 0, pairs, hom):
+                emitted += 1
+                if emitted > cap:
+                    raise EnumerationCapExceeded(
+                        f"cap {cap} exceeded enumerating Z_p for {t}, p={p}")
+                yield z, th, sd, pair, xx
 
 
 def enumerate_Zp(t: CanonicalType, p: int, cap: int = DEFAULT_ZCAP) -> Iterator[ZTriple]:
@@ -191,7 +176,7 @@ def enumerate_Zp(t: CanonicalType, p: int, cap: int = DEFAULT_ZCAP) -> Iterator[
 
 
 def _extend(t, dprime, q, cands, fits, budget, covered, needed,
-            suffix_mask, members, pair, xx, tables):
+            suffix_mask, members, pair, xx, pairs, hom):
     if covered & needed == needed:
         ddouble = _unflat(t, budget)
         if in_Q(t, ddouble):
@@ -204,15 +189,11 @@ def _extend(t, dprime, q, cands, fits, budget, covered, needed,
         _, dim, topbit, _ = cands[k]
         new_budget = tuple(map(sub, budget, dim))
         sub_fits = [kk for kk in fits[pos:] if all(map(le, cands[kk][1], new_budget))]
-        new_pair = new_xx = 0
-        if tables:
-            pairs, hom = tables
-            new_pair = pair + pairs[k]
-            new_xx = xx + hom[k][k] + sum(hom[k][y] + hom[y][k] for y in members)
+        new_xx = xx + hom[k][k] + sum(hom[k][y] + hom[y][k] for y in members)
         members.append(k)
         yield from _extend(t, dprime, q, cands, sub_fits, new_budget,
                            covered | topbit, needed, suffix_mask, members,
-                           new_pair, new_xx, tables)
+                           pair + pairs[k], new_xx, pairs, hom)
         members.pop()
 
 
@@ -354,63 +335,67 @@ def check_wild_margin(t: CanonicalType, p: int) -> bool:
     return all(wild_margin(t, p, x) > 0 for x in range(2, p + 1))
 
 
-def _negative_witness(t: CanonicalType, p: int,
-                      cap: int = DEFAULT_ZCAP) -> ZTriple | None:
-    """A triple of Z_p with negative deficiency, or None if there is none.
+def _least_deficiency(t: CanonicalType, p: int) -> tuple[int, int]:
+    """(least deficiency over all (q, d') with q <= p, least s attaining it).
 
-    The deficiency reads only q and d', so it is evaluated once per (q, d')
-    block; only a negative block runs its completion search, and its first
-    triple (if any) is the witness.  Past ``cap`` blocks the scan raises
-    EnumerationCapExceeded.
+    (p-q)<d',h> >= 0 puts the least at q = p, and shifting d' by h leaves
+    <d',d'> unchanged, so on the slice <d',h> = s the least <d',d'> is
+    geometry._slice_form(t, s).
     """
-    for seen, (q, dprime, triples) in enumerate(_blocks(t, p), start=1):
-        if seen > cap:
-            raise EnumerationCapExceeded(
-                f"cap {cap} exceeded scanning the (q, d') blocks of Z_p for {t}, p={p}")
-        th = dprime.d0 - dprime.dinf
-        if _deficiency(t, p, q, th, euler_quadratic(t, dprime)) < 0:
-            for witness, _, _ in triples(invariants=False):
-                return witness
-    return None
+    return min((_deficiency(t, p, p, s, geometry._slice_form(t, s)), s)
+               for s in range(1, p + 1))
 
 
-def _decide(t: CanonicalType, p: int,
-            cap: int) -> tuple[bool, str, ZTriple | None]:
-    """(is_ci, route, witness): the zero-set decision and how it was reached."""
+def _slice_witness(t: CanonicalType, p: int, s: int) -> ZTriple:
+    """The triple at q = p on slice s: d' takes the first least chain of each
+    arm, X is the sum of the tube simples d' leaves unseen and d'' the rest
+    of p*h.  Raises RuntimeError if it is not a member of Z_p."""
+    dprime = DimVector(s, 0, tuple(geometry._arm_min_chains(mi, s)[0] for mi in t.m))
+    xclass = RegularModuleClass(tuple(
+        TubeIndec(i, j, 1) for i, arm in enumerate(dprime.arms, start=1)
+        for j, (a, b) in enumerate(pairwise((s, *arm, 0))) if a == b))
+    z = ZTriple(dprime, p * basis_h(t) - dprime - dim_vector(t, xclass), xclass, p)
+    if not z.is_member(t, p):
+        raise RuntimeError(f"slice witness {z.to_dict()} is not in Z_p for {t}, p={p}")
+    return z
+
+
+def _decide(t: CanonicalType, p: int) -> ZTriple | None:
+    """None when the deficiency is nonnegative over Z_p, else a triple of Z_p
+    attaining its negative minimum."""
     if geometry.component_count(t, p) != 1:
         raise ValueError(
             f"variety for {t} at p={p} is not irreducible; the zero-set "
             f"criterion does not apply")
-    if t.product <= BRUTE_PRODUCT_LIMIT and p <= BRUTE_P_LIMIT:
-        witness = _negative_witness(t, p, cap)
-        return witness is None, "enumeration", witness
-    if t.delta < 1 and p >= zeroset_threshold(t):
-        return True, "proved_bound", None
-    raise OutsideProvenRange(
-        f"type {t} at p={p} is outside both the enumeration window and the "
-        f"proved bounds")
+    threshold = zeroset_threshold(t)
+    if t.delta > 0 and p < threshold:
+        raise OutsideProvenRange(
+            f"type {t} is wild and p={p} is below its proved threshold {threshold}")
+    least, s = _least_deficiency(t, p)
+    return None if least >= 0 else _slice_witness(t, p, s)
 
 
-def zeroset_is_ci(t: CanonicalType, p: int, cap: int = DEFAULT_ZCAP) -> bool:
+def zeroset_is_ci(t: CanonicalType, p: int) -> bool:
     """Whether the deficiency is nonnegative over all of Z_p.
 
-    Requires the module variety at p*h to be irreducible.  Inside the
-    desk-scale window (arm product <= BRUTE_PRODUCT_LIMIT, p <= BRUTE_P_LIMIT)
-    the answer is computed by scanning the (q, d') blocks of Z_p, with
-    ``cap`` bounding the number of blocks; outside it, levels at or above the
-    proved threshold return True and anything else is refused.
+    Requires the module variety at p*h to be irreducible.  The least
+    deficiency has a closed form over the slices s in [1, p], so the answer
+    takes O(n*p) and enumerates nothing; a negative least is attained by a
+    member of Z_p (ZeroSetReport gives it as the witness).  Types with
+    delta >= 1, and wild types below the proved threshold, are refused with
+    OutsideProvenRange.
     """
-    return _decide(t, p, cap)[0]
+    return _decide(t, p) is None
 
 
 @dataclass(frozen=True)
 class ZeroSetReport:
     """Summary of the zero-set analysis at level p.
 
-    ``answered_by`` names the route of the CI decision ("enumeration" inside
-    the window, "proved_bound" outside it), ``component_count_from`` the
-    route of the count ("closed_form", or None when there is no count), and
-    ``witness`` a triple with negative deficiency when enumeration says no.
+    ``answered_by`` names the route of the CI decision ("closed_form"),
+    ``component_count_from`` the route of the count ("closed_form", or None
+    when there is no count), and ``witness`` a triple of Z_p attaining the
+    negative least deficiency when the answer is no.
     """
 
     p: int
@@ -423,16 +408,16 @@ class ZeroSetReport:
     witness: ZTriple | None
 
     @classmethod
-    def compute(cls, t: CanonicalType, p: int,
-                cap: int = DEFAULT_ZCAP) -> "ZeroSetReport":
+    def compute(cls, t: CanonicalType, p: int) -> "ZeroSetReport":
         threshold = zeroset_threshold(t)
-        ci, route, witness = _decide(t, p, cap)
+        witness = _decide(t, p)
+        ci = witness is None
         count = None
         if ci and p >= count_valid_from(t):
             count = component_count_formula(t, p)
         return cls(p=p, is_ci=ci, component_count=count,
                    threshold=threshold, target_dim=target_zero_dim(t, p),
-                   answered_by=route,
+                   answered_by="closed_form",
                    component_count_from=None if count is None else "closed_form",
                    witness=witness)
 

@@ -41,3 +41,12 @@ def test_stats_shape():
     assert len(list(zeroset.strata(CanonicalType((2, 2, 2)), 2, cap=94))) == 94
     with pytest.raises(EnumerationCapExceeded):
         list(zeroset.strata(CanonicalType((2, 2, 2)), 2, cap=93))
+
+
+def test_closed_form_decision_checked_against_stream():
+    # (2,2,2): Z_2 has negative triples, Z_3 has none
+    results = checks.zeroset_suite(CanonicalType((2, 2, 2)), pmax=3)
+    _assert_all_ok(results)
+    names = [r.name for r in results]
+    for p in (1, 2, 3):
+        assert f"zeroset/closed-form-decision[2,2,2,p={p}]" in names

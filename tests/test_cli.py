@@ -55,18 +55,24 @@ def test_zeroset(capsys):
     assert payload["threshold"] == 3
 
 
-def test_zeroset_cap_counts_blocks_and_exits_2(capsys):
-    code, out, err = run(capsys, "zeroset", "--type", "2,2,2", "--p", "4", "--cap", "10")
-    assert code == 2 and out == ""
-    assert err.startswith("error: cap 10 exceeded") and err.count("\n") == 1
-
-
 def test_zeroset_witness_below_threshold(capsys):
     code, payload, _ = run_json(capsys, "zeroset", "--type", "2,2,2", "--p", "2")
     assert code == 0
-    assert payload["is_ci"] is False and payload["answered_by"] == "enumeration"
+    assert payload["is_ci"] is False and payload["answered_by"] == "closed_form"
     assert payload["component_count"] is None and payload["component_count_from"] is None
-    assert payload["witness"]["q"] <= 2
+    assert payload["witness"]["q"] == 2
+
+
+def test_zeroset_outside_enumeration_window(capsys):
+    code, payload, _ = run_json(capsys, "zeroset", "--type", "2,3,4", "--p", "2")
+    assert code == 0
+    assert payload["is_ci"] is False and payload["witness"]["q"] == 2
+    code, payload, _ = run_json(capsys, "zeroset", "--type", "2,2,2", "--p", "100000")
+    assert code == 0
+    assert payload["is_ci"] is True and payload["answered_by"] == "closed_form"
+    code, out, err = run(capsys, "zeroset", "--type", "2,3,7", "--p", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "threshold 5" in err and err.count("\n") == 1
 
 
 def test_witness(capsys):
@@ -176,28 +182,27 @@ def test_internal_error_exits_3(capsys, monkeypatch):
 
 def test_cap_defaults_follow_library():
     parser = cli.build_parser()
-    for command in ["ci", "components", "zeroset", "verify"]:
+    assert parser.parse_args(["components", "--type", "2,2,2", "--p", "3"]).cap == cones.DEFAULT_CAP
+    assert parser.parse_args(["verify", "--type", "2,2,2"]).cap == zeroset.DEFAULT_ZCAP
+    for command in ["classify", "witness", "oracle", "ci", "zeroset"]:
         argv = [command, "--type", "2,2,2"]
-        if command in ("ci", "components", "zeroset"):
+        if command in ("ci", "zeroset"):
             argv += ["--p", "3"]
-        want = zeroset.DEFAULT_ZCAP if command in ("zeroset", "verify") else cones.DEFAULT_CAP
-        assert parser.parse_args(argv).cap == want
-    for command in ["classify", "witness", "oracle"]:
-        assert not hasattr(parser.parse_args([command, "--type", "2,2,2"]), "cap")
+        assert not hasattr(parser.parse_args(argv), "cap")
 
 
-@pytest.mark.parametrize("command", ["classify", "witness", "oracle"])
+@pytest.mark.parametrize("command", ["classify", "witness", "oracle", "ci", "zeroset"])
 def test_cap_not_offered_where_unused(capsys, command):
+    level = ["--p", "3"] if command in ("ci", "zeroset") else []
     with pytest.raises(SystemExit) as exc:
-        main([command, "--type", "2,2,2", "--cap", "1"])
+        main([command, "--type", "2,2,2", *level, "--cap", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --cap 1" in capsys.readouterr().err
 
 
 def test_ci_counts_components_without_listing(capsys):
-    # 7777 components: listing them under --cap 100 used to exit 2
-    code, payload, _ = run_json(capsys, "ci", "--type", "6,6,6,6,6", "--p", "5",
-                                "--cap", "100")
+    # 7777 components, counted without building the list
+    code, payload, _ = run_json(capsys, "ci", "--type", "6,6,6,6,6", "--p", "5")
     assert code == 0
     assert payload == {"p": 5, "is_ci": True, "is_normal": False,
                        "components": 7777, "defect": 0}

@@ -9,7 +9,7 @@ from canalg.forms import (CanonicalType, basis_e0, basis_einf, basis_h,
                           euler_form, euler_quadratic)
 from canalg.tubes import RegularModuleClass, TubeIndec, dim_vector, end_dim
 from canalg.zeroset import (OutsideProvenRange, ZeroSetReport, ZTriple,
-                            _is_equality, _negative_witness, check_wild_margin,
+                            _is_equality, check_wild_margin,
                             component_count_formula,
                             components_bruteforce, count_valid_from, diff,
                             enumerate_Zp, equality_stratum_count,
@@ -146,13 +146,14 @@ def test_wild_margin_values():
 
 def test_zeroset_is_ci():
     assert zeroset_is_ci(T222, 4)
-    assert zeroset_is_ci(T236, 5)   # via the proved threshold, outside the window
+    assert zeroset_is_ci(T236, 5)
     assert zeroset_is_ci(T237, 5)
     assert not zeroset_is_ci(T222, 2)  # below threshold: negative deficiency exists
+    assert not zeroset_is_ci(T236, 2)  # tubular below threshold: answered exactly
     with pytest.raises(ValueError):
         zeroset_is_ci(T5, 5)  # two components: irreducibility precondition fails
     with pytest.raises(OutsideProvenRange):
-        zeroset_is_ci(T237, 4)  # below threshold and outside the window
+        zeroset_is_ci(T237, 4)  # wild below the proved threshold
 
 
 def test_zeroset_report():
@@ -160,7 +161,7 @@ def test_zeroset_report():
     assert rep.to_dict() == {
         "p": 4, "is_ci": True, "component_count": 20,
         "threshold": 3, "target_dim": 72,
-        "answered_by": "enumeration", "component_count_from": "closed_form",
+        "answered_by": "closed_form", "component_count_from": "closed_form",
     }
     rep3 = ZeroSetReport.compute(T222, 3)
     assert rep3.is_ci and rep3.component_count is None
@@ -169,11 +170,12 @@ def test_zeroset_report():
 
 def test_zeroset_report_routes_and_witness():
     rep = ZeroSetReport.compute(T237, 5)
-    assert rep.answered_by == "proved_bound"
+    assert rep.answered_by == "closed_form"
     assert rep.component_count_from == "closed_form"
     assert "witness" not in rep.to_dict()
     rep2 = ZeroSetReport.compute(T222, 2)
-    assert not rep2.is_ci and rep2.answered_by == "enumeration"
+    assert not rep2.is_ci and rep2.answered_by == "closed_form"
+    assert rep2.witness.q == 2
     assert rep2.witness.is_member(T222, 2) and diff(T222, 2, rep2.witness) < 0
     assert rep2.to_dict()["witness"] == rep2.witness.to_dict()
 
@@ -191,7 +193,7 @@ def test_zeroset_is_ci_matches_naive_scan():
         t = CanonicalType(arms)
         naive = all(diff(t, p, z) >= 0 for z in enumerate_Zp(t, p))
         assert zeroset_is_ci(t, p) == naive, (arms, p)
-        witness = _negative_witness(t, p)
+        witness = ZeroSetReport.compute(t, p).witness
         assert (witness is None) == naive, (arms, p)
         if witness is not None:
             assert witness.is_member(t, p) and diff(t, p, witness) < 0, (arms, p)
@@ -219,13 +221,31 @@ def test_strata_matches_per_triple_route():
                 assert _is_equality(t, p, z.q, th, pair, xx) == plus_condition(t, p, z), z
 
 
-def test_zeroset_is_ci_cap_counts_blocks():
-    # (2,2,2) at p = 4 has 559 (q, d') blocks and 27,137 triples
-    with pytest.raises(EnumerationCapExceeded):
-        zeroset_is_ci(T222, 4, cap=10)
-    assert zeroset_is_ci(T222, 4, cap=559)
-    with pytest.raises(EnumerationCapExceeded):
-        zeroset_is_ci(T222, 4, cap=558)
+def test_zeroset_witness_outside_enumeration_window():
+    # domestic and tubular types whose Z_p is too large to enumerate here
+    negatives = 0
+    for arms in ((2, 3, 4), (2, 3, 5), (3, 3, 3), (2, 4, 4), (2, 3, 6), (2, 2, 9)):
+        t = CanonicalType(arms)
+        for p in range(1, 9):
+            rep = ZeroSetReport.compute(t, p)
+            if p >= zeroset_threshold(t):
+                assert rep.is_ci, (arms, p)
+            if not rep.is_ci:
+                negatives += 1
+                z = rep.witness
+                assert z.q == p and z.is_member(t, p) and diff(t, p, z) < 0, (arms, p)
+    assert negatives > 0
+
+
+def test_wild_closed_form_on_proved_range():
+    for arms in ((2, 3, 7), (2, 3, 8), (2, 4, 5), (2, 5, 5), (3, 3, 4), (3, 4, 4),
+                 (2, 2, 2, 3), (2, 2, 3, 3)):
+        t = CanonicalType(arms)
+        assert 0 < t.delta < 1
+        thr = zeroset_threshold(t)
+        assert all(zeroset_is_ci(t, p) for p in range(thr, thr + 51)), arms
+        with pytest.raises(OutsideProvenRange):
+            zeroset_is_ci(t, thr - 1)
 
 
 def test_ztriple_membership_rejects():
