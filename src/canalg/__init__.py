@@ -10,10 +10,9 @@ from .forms import (CanonicalType, DimVector, a_dim, basis_e, basis_e0,
                     format_dim_vector, gl_dim, parse_dim_vector,
                     quadratic_lower_bound, quadratic_via_decomposition,
                     slope_one_vector, zero_vector)
-from .geometry import (GeometryReport, boundary_component_count, ci_defect,
-                       ci_failure_witness, classify_type, component_count,
-                       irreducible_components, is_complete_intersection,
-                       is_normal)
+from .geometry import (boundary_component_count, ci_defect, ci_failure_witness,
+                       classify_type, component_count, irreducible_components,
+                       is_complete_intersection, is_normal)
 from .oracle import (LambdaChoice, MatrixRep, build_exceptional_simple,
                      build_homogeneous, build_length_two, check_relations,
                      direct_sum, hom_dim_linear)

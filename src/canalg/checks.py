@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import geometry, oracle, zeroset
 from .cones import decompose_slope_one, in_P, in_Q
-from .forms import (CanonicalType, DimVector, a_dim, basis_e, basis_h,
+from .forms import (CanonicalType, DimVector, a_dim, basis_e, basis_e0, basis_h,
                     euler_form, euler_quadratic, gl_dim,
                     quadratic_lower_bound, quadratic_via_decomposition,
                     slope_one_vector, zero_vector)
@@ -356,6 +356,25 @@ def oracle_suite(t: CanonicalType, lam: oracle.LambdaChoice | None = None,
             if not ok:
                 break
         out.append(CheckResult(f"oracle/hom-vs-tubes[{t}]", ok, detail))
+
+        # A generic point P of the cone-P vector h + e_0 lies in the class P
+        # of the module category, and every tube module X is regular.  Modules
+        # in P have projective dimension <= 1 and Hom(X, tau P) = 0, so
+        # Ext^2(P, X) = 0 and, by the Auslander-Reiten formula,
+        # Ext^1(P, X) = D Hom(X, tau P) = 0 (Ringel, Tame algebras and
+        # integral quadratic forms, LNM 1099, 1984, Sect. 3.7); hence
+        # dim Hom(P, X) = <dim P, dim X>.  Under rational lambdas P's arrows mix
+        # integers with fractions, so a Hom that drops row denominators fails.
+        d = basis_h(t) + basis_e0(t)
+        prep = oracle.random_cone_point(t, lam, d, random.Random(0))
+        ok, detail = True, ""
+        for x, xrep in tube_mods:
+            got = oracle.hom_dim_linear(t, lam, prep, xrep)
+            want = euler_form(t, d, dim_vector(t, x))
+            if got != want:
+                ok, detail = False, f"hom(P, {x}) = {got}, <d, dim X> = {want}"
+                break
+        out.append(CheckResult(f"oracle/hom-cone-pairing[{t}]", ok, detail))
 
         ok, detail = True, ""
         for s, hrep in homog:

@@ -102,6 +102,19 @@ def cmd_witness(args) -> int:
     return 0
 
 
+def _emit_results(payload: dict, results: list[checks.CheckResult], fmt: str) -> None:
+    """The check results as JSON (after ``payload``) or one line per result."""
+    if fmt == "json":
+        rows = [{"name": r.name, "ok": r.ok, "details": r.details} for r in results]
+        print(json.dumps({**payload, "results": rows}, indent=2))
+        return
+    for r in results:
+        line = f"{'OK  ' if r.ok else 'FAIL'} {r.name}"
+        if r.details:
+            line += f"  ({r.details})"
+        print(line)
+
+
 def cmd_verify(args) -> int:
     t = CanonicalType.parse(args.type)
     for option, value in (("--pmax", args.pmax), ("--samples", args.samples)):
@@ -110,25 +123,12 @@ def cmd_verify(args) -> int:
     results = checks.run_all(t, pmax=args.pmax, seed=args.seed, samples=args.samples,
                              cap=args.cap)
     all_ok = all(r.ok for r in results)
-    if args.format == "json":
-        payload = {
-            "type": str(t),
-            "seed": args.seed,
-            "samples": args.samples,
-            "pmax": args.pmax,
-            "all_ok": all_ok,
-            "results": [{"name": r.name, "ok": r.ok, "details": r.details}
-                        for r in results],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
+    text = args.format == "text"
+    if text:
         print(f"seed: {args.seed}  samples: {args.samples}  pmax: {args.pmax}")
-        for r in results:
-            mark = "OK  " if r.ok else "FAIL"
-            line = f"{mark} {r.name}"
-            if r.details:
-                line += f"  ({r.details})"
-            print(line)
+    _emit_results({"type": str(t), "seed": args.seed, "samples": args.samples,
+                   "pmax": args.pmax, "all_ok": all_ok}, results, args.format)
+    if text:
         print(f"{'all checks passed' if all_ok else 'CHECKS FAILED'}")
     return 0 if all_ok else 1
 
@@ -146,22 +146,8 @@ def cmd_oracle(args) -> int:
     sizes = tuple(range(1, args.sizes + 1))
     results = checks.oracle_suite(t, lam, mu, sizes=sizes, full=args.full or None)
     all_ok = all(r.ok for r in results)
-    if args.format == "json":
-        payload = {
-            "type": str(t),
-            "lambdas": [str(x) for x in lam.lambdas],
-            "all_ok": all_ok,
-            "results": [{"name": r.name, "ok": r.ok, "details": r.details}
-                        for r in results],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for r in results:
-            mark = "OK  " if r.ok else "FAIL"
-            line = f"{mark} {r.name}"
-            if r.details:
-                line += f"  ({r.details})"
-            print(line)
+    _emit_results({"type": str(t), "lambdas": [str(x) for x in lam.lambdas],
+                   "all_ok": all_ok}, results, args.format)
     return 0 if all_ok else 1
 
 
@@ -172,39 +158,36 @@ def build_parser() -> argparse.ArgumentParser:
                     "canonical algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_p=False, cap=DEFAULT_CAP,
-               cap_help="enumeration cap; exceeding it is an error"):
-        """--type and --format; --p when with_p; --cap unless cap_help is None."""
+    def common(sp, with_p=False):
+        """--type and --format; --p when with_p."""
         sp.add_argument("--type", required=True,
                         help="comma-separated arm lengths, e.g. 2,3,6")
         sp.add_argument("--format", choices=["text", "json"], default="text")
-        if cap_help is not None:
-            sp.add_argument("--cap", type=int, default=cap, help=cap_help)
         if with_p:
             sp.add_argument("--p", type=int, required=True,
                             help="level: analyses run at dimension vector p*h")
 
-    common(sub.add_parser("classify", help="type invariants and classification"),
-           cap_help=None)
+    common(sub.add_parser("classify", help="type invariants and classification"))
     common(sub.add_parser("ci", help="complete-intersection / normality decision"),
-           with_p=True, cap_help=None)
-    common(sub.add_parser("components", help="list irreducible components"),
            with_p=True)
-    common(sub.add_parser("zeroset", help="zero-set report at level p"), with_p=True,
-           cap_help=None)
-    common(sub.add_parser("witness", help="explicit criterion-violating vector"),
-           cap_help=None)
+    sp = sub.add_parser("components", help="list irreducible components")
+    common(sp, with_p=True)
+    sp.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                    help="enumeration cap; exceeding it is an error")
+    common(sub.add_parser("zeroset", help="zero-set report at level p"), with_p=True)
+    common(sub.add_parser("witness", help="explicit criterion-violating vector"))
 
     sp = sub.add_parser("verify", help="run all invariant suites")
-    common(sp, cap=zeroset.DEFAULT_ZCAP,
-           cap_help="most triples of Z_pmax the zero-set suite reads; exceeding "
-                    "it is an error")
+    common(sp)
+    sp.add_argument("--cap", type=int, default=zeroset.DEFAULT_ZCAP,
+                    help="most triples of Z_pmax the zero-set suite reads; exceeding "
+                         "it is an error")
     sp.add_argument("--pmax", type=int, default=4)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--samples", type=int, default=300)
 
     sp = sub.add_parser("oracle", help="matrix-level validation of the tube model")
-    common(sp, cap_help=None)
+    common(sp)
     sp.add_argument("--lambdas", default=None,
                     help="comma-separated rationals for the tube points 3..n")
     sp.add_argument("--mu", default=None,

@@ -13,14 +13,12 @@ report evaluates the slice table once, in O(n*p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, prod
 from typing import Literal
 
 from .cones import DEFAULT_CAP, EnumerationCapExceeded, enumerate_P
-from .forms import (CanonicalType, DimVector, basis_h, euler_quadratic,
-                    format_dim_vector, zero_vector)
+from .forms import CanonicalType, DimVector, basis_h, euler_quadratic, zero_vector
 
 Boundary = Literal["above_boundary", "on_boundary", "below_boundary"]
 ReprType = Literal["domestic", "tubular", "wild"]
@@ -103,23 +101,6 @@ def _count(t: CanonicalType, p: int, tight: list[int]) -> int:
     return 1 + sum(prod(comb(mi, s % mi) for mi in t.m) * (p - s + 1) for s in tight)
 
 
-def _components(t: CanonicalType, p: int, least: int, tight: list[int],
-                cap: int) -> list[DimVector]:
-    _require_ci(t, p, least)
-    count = _count(t, p, tight)
-    if count > cap:
-        raise EnumerationCapExceeded(f"component count {count} exceeds cap {cap}")
-    h = basis_h(t)
-    out = [zero_vector(t)]
-    for s in tight:
-        for combo in product(*(_arm_min_chains(mi, s) for mi in t.m)):
-            base = DimVector(s, 0, combo)
-            for c in range(p - s + 1):
-                out.append(base + c * h)
-    out.sort(key=lambda d: d.sort_key())
-    return out
-
-
 def ci_summary(t: CanonicalType, p: int) -> dict:
     """CI and normality decision, component count (None unless CI) and defect
     from one slice pass, listing no component."""
@@ -161,11 +142,23 @@ def irreducible_components(t: CanonicalType, p: int, cap: int = DEFAULT_CAP) -> 
     Each equality vector with dinf = 0 generates translates d + c*h for
     c in [0, p - d0], all of which attain equality as well.
     """
-    return _components(t, p, *_slices(t, p), cap)
+    least, tight = _slices(t, p)
+    _require_ci(t, p, least)
+    count = _count(t, p, tight)
+    if count > cap:
+        raise EnumerationCapExceeded(f"component count {count} exceeds cap {cap}")
+    h = basis_h(t)
+    out = [zero_vector(t)]
+    for s in tight:
+        for combo in product(*(_arm_min_chains(mi, s) for mi in t.m)):
+            base = DimVector(s, 0, combo)
+            for c in range(p - s + 1):
+                out.append(base + c * h)
+    out.sort(key=lambda d: d.sort_key())
+    return out
 
 
-def equality_vectors_naive(t: CanonicalType, p: int,
-                           cap: int = DEFAULT_CAP) -> tuple[int, list[DimVector]]:
+def equality_vectors_naive(t: CanonicalType, p: int) -> tuple[int, list[DimVector]]:
     """Brute-force fallback: scan all of enumerate_P and return (defect, equality set).
 
     Cross-checks the closed form on small instances; the equality set lists every d with
@@ -173,7 +166,7 @@ def equality_vectors_naive(t: CanonicalType, p: int,
     """
     best = 0
     eq: list[DimVector] = []
-    for d in enumerate_P(t, p, cap=cap):
+    for d in enumerate_P(t, p):
         val = euler_quadratic(t, d) + p * (d.d0 - d.dinf)
         if val < best:
             best = val
@@ -203,30 +196,3 @@ def ci_failure_witness(t: CanonicalType) -> tuple[int, DimVector]:
     p = t.product
     arms = tuple(tuple((mi - j) * p // mi for j in range(1, mi)) for mi in t.m)
     return p, DimVector(p, 0, arms)
-
-
-@dataclass(frozen=True)
-class GeometryReport:
-    """Decision summary for the variety at p*h."""
-
-    p: int
-    is_ci: bool
-    is_normal: bool
-    components: tuple[DimVector, ...]
-    defect: int
-
-    @classmethod
-    def compute(cls, t: CanonicalType, p: int, cap: int = DEFAULT_CAP) -> "GeometryReport":
-        least, tight = _slices(t, p)
-        comps = tuple(_components(t, p, least, tight, cap)) if least >= 0 else ()
-        return cls(p=p, is_ci=least >= 0, is_normal=least > 0, components=comps,
-                   defect=min(0, least))
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "is_ci": self.is_ci,
-            "is_normal": self.is_normal,
-            "defect": self.defect,
-            "components": [format_dim_vector(d) for d in self.components],
-        }

@@ -247,9 +247,9 @@ def plus_condition(t: CanonicalType, p: int, z: ZTriple) -> bool:
                         end_dim(t, z.xclass))
 
 
-def components_bruteforce(t: CanonicalType, p: int, cap: int = DEFAULT_ZCAP) -> list[ZTriple]:
+def components_bruteforce(t: CanonicalType, p: int) -> list[ZTriple]:
     """All stratum labels satisfying the equality conditions, by exhaustion."""
-    return [z for z, th, _, pair, xx in strata(t, p, cap=cap)
+    return [z for z, th, _, pair, xx in strata(t, p)
             if _is_equality(t, p, z.q, th, pair, xx)]
 
 
@@ -304,19 +304,6 @@ def zeroset_threshold(t: CanonicalType) -> int:
         f"no proved zero-set bound for {t}: delta = {d} >= 1")
 
 
-def count_valid_from(t: CanonicalType) -> int:
-    """Smallest level at which the closed component count is asserted."""
-    d = t.delta
-    if d < 0:
-        return t.n + 1
-    if d == 0:
-        return t.n + 2
-    if d < 1:
-        return zeroset_threshold(t)
-    raise OutsideProvenRange(
-        f"no proved zero-set bound for {t}: delta = {d} >= 1")
-
-
 def wild_margin(t: CanonicalType, p: int, x: int) -> Fraction:
     """The concave margin -delta*x^2 + x*(p - n) + (n - p - 1)."""
     return -t.delta * x * x + x * (p - t.n) + (t.n - p - 1)
@@ -362,11 +349,16 @@ def _slice_witness(t: CanonicalType, p: int, s: int) -> ZTriple:
 
 def _decide(t: CanonicalType, p: int) -> ZTriple | None:
     """None when the deficiency is nonnegative over Z_p, else a triple of Z_p
-    attaining its negative minimum."""
-    if geometry.component_count(t, p) != 1:
-        raise ValueError(
-            f"variety for {t} at p={p} is not irreducible; the zero-set "
-            f"criterion does not apply")
+    attaining its negative minimum.
+
+    The criterion needs the variety at p*h to be irreducible, and no pass
+    over it is taken: zeroset_threshold refuses delta >= 1, and for
+    delta < 1 the bound <d,d> >= -delta*(d0-dinf)^2 gives every slice
+    s in [1, p] the cost p*s + <d,d> >= s*(p - delta*s) > 0, as delta*s < p,
+    so the variety is normal, hence irreducible, at every level.
+    """
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
     threshold = zeroset_threshold(t)
     if t.delta > 0 and p < threshold:
         raise OutsideProvenRange(
@@ -378,11 +370,12 @@ def _decide(t: CanonicalType, p: int) -> ZTriple | None:
 def zeroset_is_ci(t: CanonicalType, p: int) -> bool:
     """Whether the deficiency is nonnegative over all of Z_p.
 
-    Requires the module variety at p*h to be irreducible.  The least
-    deficiency has a closed form over the slices s in [1, p], so the answer
-    takes O(n*p) and enumerates nothing; a negative least is attained by a
-    member of Z_p (ZeroSetReport gives it as the witness).  Types with
-    delta >= 1, and wild types below the proved threshold, are refused with
+    The least deficiency has a closed form over the slices s in [1, p], so
+    the answer takes O(n*p) and enumerates nothing; a negative least is
+    attained by a member of Z_p (ZeroSetReport gives it as the witness).
+    Every type with delta < 1 has an irreducible variety at p*h, so the
+    criterion applies without a geometry pass.  Types with delta >= 1, and
+    wild types below the proved threshold, are refused with
     OutsideProvenRange.
     """
     return _decide(t, p) is None
@@ -395,7 +388,9 @@ class ZeroSetReport:
     ``answered_by`` names the route of the CI decision ("closed_form"),
     ``component_count_from`` the route of the count ("closed_form", or None
     when there is no count), and ``witness`` a triple of Z_p attaining the
-    negative least deficiency when the answer is no.
+    negative least deficiency when the answer is no.  The closed component
+    count is asserted when the answer is yes and p >= threshold + 1 for
+    delta <= 0 (domestic and tubular types), p >= threshold for wild ones.
     """
 
     p: int
@@ -413,7 +408,7 @@ class ZeroSetReport:
         witness = _decide(t, p)
         ci = witness is None
         count = None
-        if ci and p >= count_valid_from(t):
+        if ci and p >= threshold + (t.delta <= 0):
             count = component_count_formula(t, p)
         return cls(p=p, is_ci=ci, component_count=count,
                    threshold=threshold, target_dim=target_zero_dim(t, p),

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from canalg import checks, zeroset
+from canalg import checks, oracle, zeroset
 from canalg.cones import EnumerationCapExceeded
 from canalg.forms import CanonicalType
 
@@ -50,3 +52,13 @@ def test_closed_form_decision_checked_against_stream():
     names = [r.name for r in results]
     for p in (1, 2, 3):
         assert f"zeroset/closed-form-decision[2,2,2,p={p}]" in names
+
+
+def test_oracle_hom_cone_pairing_present_and_passing():
+    # rational lambda: a Hom that kept only the numerators of each row
+    # agrees with the tube model on tube modules but not on this pairing
+    t = CanonicalType((2, 3, 4))
+    lam = oracle.LambdaChoice((Fraction(1, 3),))
+    results = checks.oracle_suite(t, lam, Fraction(7, 3), sizes=(1, 2), full=True)
+    _assert_all_ok(results)
+    assert f"oracle/hom-cone-pairing[{t}]" in [r.name for r in results]

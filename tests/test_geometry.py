@@ -6,9 +6,9 @@ import pytest
 from canalg.forms import (CanonicalType, euler_quadratic,
                           format_dim_vector, zero_vector)
 from canalg.cones import in_P
-from canalg.geometry import (GeometryReport, _arm_min, _arm_min_chains,
+from canalg.geometry import (_arm_min, _arm_min_chains,
                              boundary_component_count, ci_defect,
-                             ci_failure_witness, classify_type,
+                             ci_failure_witness, ci_summary, classify_type,
                              component_count, equality_vectors_naive,
                              irreducible_components, is_complete_intersection,
                              is_normal)
@@ -109,13 +109,11 @@ def test_equality_vectors_are_tight_on_boundary():
 
 
 def test_geometry_report():
-    rep = GeometryReport.compute(T5, 5)
-    d = rep.to_dict()
-    assert d["is_ci"] is True
-    assert d["is_normal"] is False
-    assert len(d["components"]) == 2
-    assert d["defect"] == 0
-    assert (len(rep.components) > 0) == rep.is_ci
+    summary = ci_summary(T5, 5)
+    assert summary["is_ci"] is True
+    assert summary["is_normal"] is False
+    assert summary["components"] == len(irreducible_components(T5, 5)) == 2
+    assert summary["defect"] == 0
 
 
 def test_p_validation():

@@ -4,14 +4,16 @@ from math import prod
 
 import pytest
 
+from canalg import geometry
 from canalg.cones import EnumerationCapExceeded, decompose_slope_one
 from canalg.forms import (CanonicalType, basis_e0, basis_einf, basis_h,
                           euler_form, euler_quadratic)
+from canalg.geometry import is_normal
 from canalg.tubes import RegularModuleClass, TubeIndec, dim_vector, end_dim
 from canalg.zeroset import (OutsideProvenRange, ZeroSetReport, ZTriple,
                             _is_equality, check_wild_margin,
                             component_count_formula,
-                            components_bruteforce, count_valid_from, diff,
+                            components_bruteforce, diff,
                             enumerate_Zp, equality_stratum_count,
                             plus_condition, strata, stratum_dim,
                             target_zero_dim, wild_margin, zeroset_is_ci,
@@ -129,9 +131,13 @@ def test_thresholds():
     assert zeroset_threshold(T237) == 5
     with pytest.raises(OutsideProvenRange):
         zeroset_threshold(T5)
-    assert count_valid_from(T222) == 4
-    assert count_valid_from(T236) == 5
-    assert count_valid_from(T237) == 5
+    # the closed count is asserted from one level past the threshold for
+    # delta <= 0, from the threshold itself for wild types
+    assert ZeroSetReport.compute(T222, 3).component_count is None
+    assert ZeroSetReport.compute(T222, 4).component_count == 20
+    assert ZeroSetReport.compute(T236, 4).component_count is None
+    assert ZeroSetReport.compute(T236, 5).component_count == component_count_formula(T236, 5)
+    assert ZeroSetReport.compute(T237, 5).component_count == 125
 
 
 def test_wild_margin_values():
@@ -151,7 +157,7 @@ def test_zeroset_is_ci():
     assert not zeroset_is_ci(T222, 2)  # below threshold: negative deficiency exists
     assert not zeroset_is_ci(T236, 2)  # tubular below threshold: answered exactly
     with pytest.raises(ValueError):
-        zeroset_is_ci(T5, 5)  # two components: irreducibility precondition fails
+        zeroset_is_ci(T5, 5)  # delta = 1: no proved bound
     with pytest.raises(OutsideProvenRange):
         zeroset_is_ci(T237, 4)  # wild below the proved threshold
 
@@ -246,6 +252,30 @@ def test_wild_closed_form_on_proved_range():
         assert all(zeroset_is_ci(t, p) for p in range(thr, thr + 51)), arms
         with pytest.raises(OutsideProvenRange):
             zeroset_is_ci(t, thr - 1)
+
+
+def test_delta_below_one_is_normal_at_every_level():
+    # <d,d> >= -delta*s^2 on slice s, so p*s + <d,d> >= s*(p - delta*s) > 0:
+    # the zero-set criterion's irreducibility precondition always holds
+    cases = 0
+    for n in range(3, 6):
+        for arms in combinations_with_replacement(range(2, 9), n):
+            t = CanonicalType(arms)
+            if t.delta >= 1:
+                continue
+            for p in range(1, 31):
+                assert is_normal(t, p), (arms, p)
+                cases += 1
+    assert cases == 18690
+
+
+def test_decision_takes_no_geometry_pass(monkeypatch):
+    def no_pass(t, p):
+        raise AssertionError("slice pass taken")
+
+    monkeypatch.setattr(geometry, "_slices", no_pass)
+    assert ZeroSetReport.compute(T222, 4).component_count == 20
+    assert zeroset_is_ci(T237, 5)
 
 
 def test_ztriple_membership_rejects():
