@@ -171,10 +171,12 @@ def cones_suite(t: CanonicalType, rng: random.Random, samples: int = 1000) -> li
 def geometry_suite(t: CanonicalType, pmax: int = 4) -> list[CheckResult]:
     out = []
     boundary, _ = geometry.classify_type(t)
-    for p in range(1, pmax + 1):
+    # one slice pass per level gives the defect, CI, normality and count
+    summaries = {p: geometry.ci_summary(t, p) for p in range(1, pmax + 1)}
+    for p, summary in summaries.items():
         if t.product <= 60 and p <= 4:
             naive_defect, naive_eq = geometry.equality_vectors_naive(t, p)
-            defect = geometry.ci_defect(t, p)
+            defect = summary["defect"]
             ok = naive_defect == defect
             detail = "" if ok else f"p={p}: closed form {defect} vs naive {naive_defect}"
             if ok and defect >= 0:
@@ -182,16 +184,15 @@ def geometry_suite(t: CanonicalType, pmax: int = 4) -> list[CheckResult]:
                 ok = [d.sort_key() for d in comps] == sorted(d.sort_key() for d in naive_eq)
                 detail = "" if ok else f"p={p}: component sets differ"
             out.append(CheckResult(f"geometry/dp-vs-naive[{t},p={p}]", ok, detail))
-    for p in range(1, pmax + 1):
-        ci = geometry.is_complete_intersection(t, p)
-        normal = geometry.is_normal(t, p)
+    for p, summary in summaries.items():
+        ci, normal = summary["is_ci"], summary["is_normal"]
         if boundary == "above_boundary":
             ok = ci and normal
             out.append(CheckResult(f"geometry/above-boundary[{t},p={p}]", ok,
                                    "" if ok else f"expected CI+normal, got {ci},{normal}"))
         elif boundary == "on_boundary":
             pred = geometry.boundary_component_count(t, p)
-            got = geometry.component_count(t, p) if ci else None
+            got = summary["components"]
             ok = ci and got == pred
             out.append(CheckResult(f"geometry/boundary-count[{t},p={p}]", ok,
                                    "" if ok else f"predicted {pred}, got {got}"))
@@ -401,10 +402,9 @@ def oracle_suite(t: CanonicalType, lam: oracle.LambdaChoice | None = None,
 
     # exactness: a single perturbed entry must break the relations
     s, hrep = homog[0]
-    bad = oracle.MatrixRep(t, hrep.dim, dict(hrep.mats))
-    m11 = [list(r) for r in bad.mat(1, 1)]
+    m11 = [list(r) for r in hrep.mat(1, 1)]
     m11[0][0] += 1
-    bad.mats[(1, 1)] = tuple(tuple(r) for r in m11)
+    bad = oracle.MatrixRep(t, hrep.dim, {**hrep.mats, (1, 1): tuple(map(tuple, m11))})
     out.append(CheckResult(f"oracle/perturbation[{t}]",
                            not oracle.check_relations(t, lam, bad)))
     return out

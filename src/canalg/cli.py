@@ -137,7 +137,7 @@ def cmd_oracle(args) -> int:
     t = CanonicalType.parse(args.type)
     if args.sizes < 1:
         raise ValueError(f"--sizes must be >= 1, got {args.sizes}")
-    if args.lambdas:
+    if args.lambdas is not None:
         lam = oracle.LambdaChoice(tuple(_rational("--lambdas", x)
                                         for x in args.lambdas.split(",")))
     else:

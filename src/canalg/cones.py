@@ -7,7 +7,7 @@ with every arm chain nonincreasing from d0 down to dinf.  Q is the dual cone
 
 from __future__ import annotations
 
-from itertools import pairwise, product
+from itertools import combinations_with_replacement, pairwise, product
 from math import comb, prod
 from typing import Iterator
 
@@ -24,25 +24,14 @@ def in_P(t: CanonicalType, d: DimVector) -> bool:
     _check_shape(t, d)
     if not d.d0 > d.dinf >= 0:
         return d.is_zero()
-    return all(a >= b for arm in d.arms for a, b in pairwise((d.d0, *arm, d.dinf)))
+    return all(a >= b for chain in d.chains() for a, b in pairwise(chain))
 
 
 def in_Q(t: CanonicalType, d: DimVector) -> bool:
     _check_shape(t, d)
     if not 0 <= d.d0 < d.dinf:
         return d.is_zero()
-    return all(a <= b for arm in d.arms for a, b in pairwise((d.d0, *arm, d.dinf)))
-
-
-def _chains(length: int, high: int, low: int) -> Iterator[tuple[int, ...]]:
-    """Nonincreasing integer chains of the given length with values in [low, high],
-    in lexicographically ascending order."""
-    if length == 0:
-        yield ()
-        return
-    for first in range(low, high + 1):
-        for rest in _chains(length - 1, first, low):
-            yield (first,) + rest
+    return all(a <= b for chain in d.chains() for a, b in pairwise(chain))
 
 
 def enumerate_P(t: CanonicalType, p: int, cap: int = DEFAULT_CAP) -> Iterator[DimVector]:
@@ -60,7 +49,11 @@ def enumerate_P(t: CanonicalType, p: int, cap: int = DEFAULT_CAP) -> Iterator[Di
     yield zero_vector(t)
     for d0 in range(1, p + 1):
         for dinf in range(d0):
-            for combo in product(*(_chains(mi - 1, d0, dinf) for mi in t.m)):
+            # per arm, the nonincreasing interior chains from [dinf, d0] in
+            # ascending lexicographic order
+            values = range(d0, dinf - 1, -1)
+            for combo in product(*(list(combinations_with_replacement(values, mi - 1))[::-1]
+                                   for mi in t.m)):
                 emitted += 1
                 if emitted > cap:
                     raise EnumerationCapExceeded(

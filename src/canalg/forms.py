@@ -8,13 +8,22 @@ sink vertex ``inf`` and the interior arm vertices ``(i, j)`` with
 ``j in [1, m_i - 1]``.  Dimension vectors store interior coordinates only; the
 boundary values ``d_{i,0} = d_0`` and ``d_{i,m_i} = d_inf`` are views, so the
 usual index convention cannot drift out of sync.
+
+This module alone owns the vertex layout.  Each arm is read as its vertex path
+``0, (i,1), ..., (i,m_i-1), inf``: ``DimVector.chains`` gives the values along
+it, ``entries`` and ``DimVector.from_entries`` are the flat order and its
+inverse, and ``CanonicalType.chain_index`` says which flat index each vertex
+of a path has.  Every other module reads vectors through these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import pairwise
 from math import lcm, prod
+from operator import mul
 from typing import Iterator, Sequence
 
 
@@ -70,6 +79,16 @@ class CanonicalType:
     def vertex_count(self) -> int:
         return 2 + self.total - self.n
 
+    @cached_property
+    def chain_index(self) -> tuple[tuple[int, ...], ...]:
+        """Per arm, the index in ``DimVector.entries`` order of each vertex of
+        its path: 0 for the source, 1 for the sink, the interior in between."""
+        out, pos = [], 2
+        for mi in self.m:
+            out.append((0, *range(pos, pos + mi - 1), 1))
+            pos += mi - 1
+        return tuple(out)
+
     def arm_length(self, i: int) -> int:
         if not 1 <= i <= self.n:
             raise ValueError(f"arm index {i} out of range for {self}")
@@ -84,7 +103,8 @@ class DimVector:
     """Integer vector on the star-shaped vertex set.
 
     ``arms[i-1]`` holds the interior values ``(d_{i,1}, ..., d_{i,m_i-1})``;
-    ``entry(i, 0)`` and ``entry(i, m_i)`` resolve to ``d0`` and ``dinf``.
+    ``chains()[i-1]`` is the whole arm ``(d0, d_{i,1}, ..., d_{i,m_i-1}, dinf)``,
+    so ``entry(i, 0)`` and ``entry(i, m_i)`` resolve to ``d0`` and ``dinf``.
     """
 
     d0: int
@@ -96,16 +116,23 @@ class DimVector:
         object.__setattr__(self, "d0", int(self.d0))
         object.__setattr__(self, "dinf", int(self.dinf))
 
+    @classmethod
+    def from_entries(cls, t: CanonicalType, flat: Sequence[int]) -> "DimVector":
+        """Inverse of ``entries``: the vector of type t with these coordinates."""
+        # each arm's interior indices are consecutive
+        return cls(flat[0], flat[1], [flat[index[1]:index[-2] + 1] for index in t.chain_index])
+
+    def chains(self) -> list[tuple[int, ...]]:
+        """Each arm as the values along its vertex path, from d0 to dinf."""
+        d0, dinf = self.d0, self.dinf
+        return [(d0, *arm, dinf) for arm in self.arms]
+
     def entry(self, i: int, j: int) -> int:
-        """Coordinate at arm vertex (i, j), honoring the boundary convention."""
-        arm = self.arms[i - 1]
-        if j == 0:
-            return self.d0
-        if j == len(arm) + 1:
-            return self.dinf
-        if not 1 <= j <= len(arm):
+        """Coordinate at arm vertex (i, j), j in [0, m_i]."""
+        chain = self.chains()[i - 1]
+        if not 0 <= j < len(chain):
             raise ValueError(f"vertex ({i},{j}) out of range")
-        return arm[j - 1]
+        return chain[j]
 
     def entries(self) -> Iterator[int]:
         """All coordinates, one per vertex: d0, dinf, then interior values."""
@@ -207,12 +234,10 @@ def euler_form(t: CanonicalType, d1: DimVector, d2: DimVector) -> int:
     """The Ringel bilinear form <d1, d2>, exact over the integers."""
     _check_shape(t, d1, d2)
     total = d1.d0 * d2.d0 + d1.dinf * d2.dinf + (t.n - 2) * d1.dinf * d2.d0
-    for a, b in zip(d1.arms, d2.arms):
-        for x, y in zip(a, b):
-            total += x * y
-    for i in range(1, t.n + 1):
-        for j in range(1, t.m[i - 1] + 1):
-            total -= d1.entry(i, j) * d2.entry(i, j - 1)
+    # per arm: the interior products d1_{i,j} * d2_{i,j}, less
+    # d1_{i,j} * d2_{i,j-1} for each arrow (i, j), j in [1, m_i]
+    for a, b in zip(d1.chains(), d2.chains()):
+        total += sum(map(mul, a[1:-1], b[1:-1])) - sum(map(mul, a[1:], b))
     return total
 
 
@@ -230,10 +255,9 @@ def quadratic_via_decomposition(t: CanonicalType, d: DimVector) -> Fraction:
     _check_shape(t, d)
     dp = d - d.dinf * basis_h(t)
     total = -t.delta * dp.d0 * dp.d0
-    for i in range(1, t.n + 1):
-        mi = t.m[i - 1]
+    for mi, chain in zip(t.m, dp.chains()):
         for j in range(1, mi):
-            term = (mi - j + 1) * dp.entry(i, j) - (mi - j) * dp.entry(i, j - 1)
+            term = (mi - j + 1) * chain[j] - (mi - j) * chain[j - 1]
             total += Fraction(term * term, 2 * (mi - j) * (mi - j + 1))
     return total
 
@@ -248,8 +272,8 @@ def quadratic_lower_bound(t: CanonicalType, d: DimVector) -> tuple[Fraction, boo
     s = d.d0 - d.dinf
     bound = -t.delta * s * s
     tight = all(
-        Fraction((mi - j) * d.d0 + j * d.dinf, mi) == d.entry(i, j)
-        for i, mi in enumerate(t.m, start=1)
+        Fraction((mi - j) * d.d0 + j * d.dinf, mi) == chain[j]
+        for mi, chain in zip(t.m, d.chains())
         for j in range(1, mi))
     return bound, tight
 
@@ -269,10 +293,7 @@ def a_dim(t: CanonicalType, d: DimVector) -> int:
     _check_shape(t, d)
     if not d.is_nonnegative():
         raise ValueError(f"a_dim needs a nonnegative vector, got {d}")
-    total = 0
-    for i in range(1, t.n + 1):
-        for j in range(1, t.m[i - 1] + 1):
-            total += d.entry(i, j - 1) * d.entry(i, j)
+    total = sum(a * b for chain in d.chains() for a, b in pairwise(chain))
     return total - (t.n - 2) * d.d0 * d.dinf
 
 

@@ -45,11 +45,13 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(x + y for x, y in zip(ra, rb, strict=True))
+                 for ra, rb in zip(a, b, strict=True))
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(x - y for x, y in zip(ra, rb, strict=True))
+                 for ra, rb in zip(a, b, strict=True))
 
 
 def mat_scale(c, a: Matrix) -> Matrix:

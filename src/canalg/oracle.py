@@ -17,11 +17,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate, pairwise
 from math import lcm
+from operator import mul
+from typing import Iterator
 
 from . import linalg
 from .cones import in_P, in_Q
-from .forms import CanonicalType, DimVector, basis_e, format_dim_vector
+from .forms import CanonicalType, DimVector, basis_e, basis_h, format_dim_vector
 from .linalg import Matrix
 
 
@@ -57,12 +61,20 @@ class LambdaChoice:
         return {Fraction(0), *self.lambdas}
 
 
+def _arrows(d: DimVector) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+    """Each arrow (i, j) with its shape d_{i,j-1} x d_{i,j} at d."""
+    for i, chain in enumerate(d.chains(), start=1):
+        for j, shape in enumerate(pairwise(chain), start=1):
+            yield (i, j), shape
+
+
 @dataclass
 class MatrixRep:
     """Arrow matrices over exact rationals, one per arrow (i, j), j in [1, m_i].
 
     The matrix at (i, j) maps the space at vertex (i, j) to the space at
-    (i, j - 1) and therefore has shape d_{i,j-1} x d_{i,j}.
+    (i, j - 1) and therefore has shape d_{i,j-1} x d_{i,j}; arrows left out
+    of ``mats`` carry the zero matrix.
     """
 
     t: CanonicalType
@@ -72,28 +84,29 @@ class MatrixRep:
     def __post_init__(self) -> None:
         if not self.dim.matches(self.t):
             raise ValueError("dimension vector does not fit the type")
-        for i in range(1, self.t.n + 1):
-            for j in range(1, self.t.m[i - 1] + 1):
-                m = self.mats.get((i, j))
-                rows, cols = self.dim.entry(i, j - 1), self.dim.entry(i, j)
-                if m is None:
-                    self.mats[(i, j)] = linalg.zeros(rows, cols)
-                    continue
-                if len(m) != rows or any(len(r) != cols for r in m):
-                    raise ValueError(f"matrix at arrow ({i},{j}) must be {rows}x{cols}")
+        for arrow, shape in _arrows(self.dim):
+            self.mats.setdefault(arrow, linalg.zeros(*shape))
+        self.check_shapes()
+
+    def check_shapes(self) -> None:
+        """Raise ValueError unless there is one matrix per arrow, of its shape."""
+        shapes = dict(_arrows(self.dim))
+        if self.mats.keys() != shapes.keys():
+            raise ValueError(f"matrices must sit on the arrows of type {self.t}")
+        for (i, j), (rows, cols) in shapes.items():
+            m = self.mats[(i, j)]
+            if len(m) != rows or any(map(cols.__ne__, map(len, m))):
+                raise ValueError(f"matrix at arrow ({i},{j}) must be {rows}x{cols}")
 
     def mat(self, i: int, j: int) -> Matrix:
         return self.mats[(i, j)]
 
     def composition(self, i: int) -> Matrix:
         """Product of the arm-i matrices, a d0 x dinf matrix."""
-        dims = [self.dim.entry(i, j) for j in range(self.t.m[i - 1] + 1)]
-        if any(d == 0 for d in dims):
-            return linalg.zeros(dims[0], dims[-1])
-        out = self.mats[(i, 1)]
-        for j in range(2, self.t.m[i - 1] + 1):
-            out = linalg.matmul(out, self.mats[(i, j)])
-        return out
+        chain = self.dim.chains()[i - 1]
+        if 0 in chain:
+            return linalg.zeros(self.dim.d0, self.dim.dinf)
+        return reduce(linalg.matmul, (self.mats[(i, j)] for j in range(1, len(chain))))
 
     def to_dict(self, lam: LambdaChoice | None = None) -> dict:
         def frac(x: Fraction) -> str:
@@ -113,8 +126,13 @@ class MatrixRep:
 
 
 def check_relations(t: CanonicalType, lam: LambdaChoice, rep: MatrixRep) -> bool:
-    """Exact zero test of C1 + lambda_i*C2 - Ci for every i in [3, n]."""
+    """Exact zero test of C1 + lambda_i*C2 - Ci for every i in [3, n].
+
+    A matrix of the wrong shape raises ValueError: ``rep.mats`` may have
+    changed since construction checked it.
+    """
     lam.check_against(t)
+    rep.check_shapes()
     c1 = rep.composition(1)
     c2 = rep.composition(2)
     for i in range(3, t.n + 1):
@@ -142,12 +160,18 @@ def _tube_scalars(t: CanonicalType, lam: LambdaChoice, i: int) -> dict[int, Frac
     return scalars
 
 
-def _scalar_arm(mi: int, value: Fraction) -> dict[int, Matrix]:
-    """1x1 maps along a full arm composing to `value`: value on the first
-    arrow, identities after."""
-    mats = {1: ((value,),)}
-    for j in range(2, mi + 1):
-        mats[j] = ((Fraction(1),),)
+_ONE = ((Fraction(1),),)
+
+
+def _tube_arms(t: CanonicalType, lam: LambdaChoice, i: int) -> dict[tuple[int, int], Matrix]:
+    """1x1 maps along every arm k != i composing to its tube scalar: the
+    scalar on the first arrow, identities after."""
+    scal = _tube_scalars(t, lam, i)
+    mats = {}
+    for k, mk in enumerate(t.m, start=1):
+        if k != i:
+            mats.update({(k, j): _ONE for j in range(2, mk + 1)})
+            mats[(k, 1)] = ((scal[k],),)
     return mats
 
 
@@ -159,16 +183,7 @@ def build_exceptional_simple(t: CanonicalType, lam: LambdaChoice, i: int, j: int
     zero interior spaces and the other arms carry the tube scalars.
     """
     lam.check_against(t)
-    dim = basis_e(t, i, j)
-    rep = MatrixRep(t, dim)
-    if j == 0:
-        scal = _tube_scalars(t, lam, i)
-        for k in range(1, t.n + 1):
-            if k == i:
-                continue
-            for pos, m in _scalar_arm(t.m[k - 1], scal[k]).items():
-                rep.mats[(k, pos)] = m
-    return rep
+    return MatrixRep(t, basis_e(t, i, j), _tube_arms(t, lam, i) if j == 0 else {})
 
 
 def build_length_two(t: CanonicalType, lam: LambdaChoice, i: int, a: int) -> MatrixRep:
@@ -183,27 +198,14 @@ def build_length_two(t: CanonicalType, lam: LambdaChoice, i: int, a: int) -> Mat
     mi = t.arm_length(i)
     if not 0 <= a <= mi - 1:
         raise ValueError(f"socle index {a} out of range on arm {i}")
+    dim = basis_e(t, i, a) + basis_e(t, i, (a + 1) % mi)
     if 1 <= a <= mi - 2:
-        dim = basis_e(t, i, a) + basis_e(t, i, a + 1)
-        rep = MatrixRep(t, dim)
-        rep.mats[(i, a + 1)] = ((Fraction(1),),)
-        return rep
-    top = (a + 1) % mi
-    dim = basis_e(t, i, a) + basis_e(t, i, top)
-    rep = MatrixRep(t, dim)
-    scal = _tube_scalars(t, lam, i)
-    for k in range(1, t.n + 1):
-        if k == i:
-            continue
-        for pos, m in _scalar_arm(t.m[k - 1], scal[k]).items():
-            rep.mats[(k, pos)] = m
-    if a == 0:
-        # socle is the tube simple at index 0, top the vertex-simple at (i, 1)
-        rep.mats[(i, 1)] = ((Fraction(1),),)
-    else:
-        # a = m_i - 1: socle the vertex-simple at (i, m_i - 1), top the index-0 simple
-        rep.mats[(i, mi)] = ((Fraction(1),),)
-    return rep
+        return MatrixRep(t, dim, {(i, a + 1): _ONE})
+    mats = _tube_arms(t, lam, i)
+    # a = 0: socle the tube simple at index 0, top the vertex-simple at (i, 1);
+    # a = m_i - 1: socle the vertex-simple at (i, m_i - 1), top the index-0 simple
+    mats[(i, 1 if a == 0 else mi)] = _ONE
+    return MatrixRep(t, dim, mats)
 
 
 def jordan_block(mu: Fraction, size: int) -> Matrix:
@@ -228,16 +230,12 @@ def build_homogeneous(t: CanonicalType, lam: LambdaChoice, mu: Fraction, size: i
         raise ValueError(f"size must be >= 1, got {size}")
     jj = jordan_block(mu, size)
     ident = linalg.eye(size)
-    dim = DimVector(size, size,
-                    tuple(tuple(size for _ in range(mi - 1)) for mi in t.m))
-    rep = MatrixRep(t, dim)
-    for i in range(1, t.n + 1):
-        for j in range(1, t.m[i - 1] + 1):
-            rep.mats[(i, j)] = ident
-    rep.mats[(1, 1)] = linalg.mat_scale(-1, jj)
+    dim = size * basis_h(t)
+    mats = {arrow: ident for arrow, _ in _arrows(dim)}
+    mats[(1, 1)] = linalg.mat_scale(-1, jj)
     for i in range(3, t.n + 1):
-        rep.mats[(i, 1)] = linalg.mat_sub(linalg.mat_scale(lam.lam(i), ident), jj)
-    return rep
+        mats[(i, 1)] = linalg.mat_sub(linalg.mat_scale(lam.lam(i), ident), jj)
+    return MatrixRep(t, dim, mats)
 
 
 def _coordinate(rows: int, cols: int) -> Matrix:
@@ -274,52 +272,27 @@ def random_cone_point(t: CanonicalType, lam: LambdaChoice, d: DimVector,
         return tuple(tuple(Fraction(rng.randint(-_SPREAD, _SPREAD)) for _ in range(cols))
                      for _ in range(rows))
 
-    rep = MatrixRep(t, d)
-    for i in (1, 2):
-        for j in range(1, t.m[i - 1] + 1):
-            rep.mats[(i, j)] = rand(d.entry(i, j - 1), d.entry(i, j))
-    c1, c2 = rep.composition(1), rep.composition(2)
-    for i in range(3, t.n + 1):
-        mi = t.m[i - 1]
+    mats = {(i, j): rand(*shape) if i <= 2 else _coordinate(*shape)
+            for (i, j), shape in _arrows(d)}
+    base = MatrixRep(t, d, mats)
+    c1, c2 = base.composition(1), base.composition(2)
+    for i, chain in enumerate(d.chains()[2:], start=3):
         target = linalg.mat_add(c1, linalg.mat_scale(lam.lam(i), c2))
-        for j in range(1, mi + 1):
-            rep.mats[(i, j)] = _coordinate(d.entry(i, j - 1), d.entry(i, j))
         if preprojective:
-            extra = rand(d.d0, d.entry(i, 1) - d.dinf)
-            rep.mats[(i, 1)] = tuple(a + b for a, b in zip(target, extra))
+            extra = rand(d.d0, chain[1] - d.dinf)
+            mats[(i, 1)] = tuple(a + b for a, b in zip(target, extra))
         else:
-            extra = rand(d.entry(i, mi - 1) - d.d0, d.dinf)
-            rep.mats[(i, mi)] = target + extra
-    return rep
+            extra = rand(chain[-2] - d.d0, d.dinf)
+            mats[(i, len(chain) - 1)] = target + extra
+    return MatrixRep(t, d, mats)
 
 
 def direct_sum(a: MatrixRep, b: MatrixRep) -> MatrixRep:
     if a.t != b.t:
         raise ValueError("direct sum needs representations of the same type")
-    dim = a.dim + b.dim
-    rep = MatrixRep(a.t, dim)
-    for i in range(1, a.t.n + 1):
-        for j in range(1, a.t.m[i - 1] + 1):
-            rep.mats[(i, j)] = linalg.block_diag(
-                a.mat(i, j), b.mat(i, j),
-                acols=a.dim.entry(i, j), bcols=b.dim.entry(i, j))
-    return rep
-
-
-def _vertices(t: CanonicalType) -> list:
-    verts: list = ["0", "inf"]
-    for i in range(1, t.n + 1):
-        for j in range(1, t.m[i - 1]):
-            verts.append((i, j))
-    return verts
-
-
-def _vertex_dim(t: CanonicalType, d: DimVector, v) -> int:
-    if v == "0":
-        return d.d0
-    if v == "inf":
-        return d.dinf
-    return d.entry(v[0], v[1])
+    mats = {arrow: linalg.block_diag(a.mats[arrow], b.mats[arrow], acols=acols, bcols=bcols)
+            for (arrow, (_, acols)), (_, (_, bcols)) in zip(_arrows(a.dim), _arrows(b.dim))}
+    return MatrixRep(a.t, a.dim + b.dim, mats)
 
 
 def hom_dim_linear(t: CanonicalType, lam: LambdaChoice,
@@ -333,33 +306,21 @@ def hom_dim_linear(t: CanonicalType, lam: LambdaChoice,
     for rep in (m_rep, n_rep):
         if not check_relations(t, lam, rep):
             raise ValueError("representation does not satisfy the arm relations")
-    verts = _vertices(t)
-    offsets = {}
-    ncols = 0
-    for v in verts:
-        offsets[v] = ncols
-        ncols += _vertex_dim(t, n_rep.dim, v) * _vertex_dim(t, m_rep.dim, v)
+    # vertices in DimVector.entries order; f_x takes the columns from offsets[x]
+    dn, dm = tuple(n_rep.dim.entries()), tuple(m_rep.dim.entries())
+    offsets = list(accumulate(map(mul, dn, dm), initial=0))
+    ncols = offsets.pop()
     if ncols == 0:
         return 0
-
-    def vkey(i: int, j: int):
-        if j == 0:
-            return "0"
-        if j == t.m[i - 1]:
-            return "inf"
-        return (i, j)
 
     # Row (i, j, r, c) is entry (r, c) of f_w M_{i,j} - N_{i,j} f_v; the
     # blocks of f_w and f_v never share a column, so its nonzero entries are
     # those of column c of M_{i,j} and of row r of N_{i,j}, cleared of their
     # denominators into one integer row.
     rows: list[linalg.SparseRow] = []
-    for i in range(1, t.n + 1):
-        for j in range(1, t.m[i - 1] + 1):
-            w, v = vkey(i, j - 1), vkey(i, j)
-            dnw = _vertex_dim(t, n_rep.dim, w)
-            dmw = _vertex_dim(t, m_rep.dim, w)
-            dmv = _vertex_dim(t, m_rep.dim, v)
+    for i, index in enumerate(t.chain_index, start=1):
+        for j, (w, v) in enumerate(pairwise(index), start=1):
+            dnw, dmw, dmv = dn[w], dm[w], dm[v]
             if dnw * dmv == 0:
                 continue
             m_mat = m_rep.mat(i, j)

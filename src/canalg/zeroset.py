@@ -82,21 +82,8 @@ class ZTriple:
         }
 
 
-def _flat(d: DimVector) -> tuple[int, ...]:
-    return (d.d0, d.dinf) + tuple(x for arm in d.arms for x in arm)
-
-
-def _unflat(t: CanonicalType, flat: tuple[int, ...]) -> DimVector:
-    arms = []
-    pos = 2
-    for mi in t.m:
-        arms.append(tuple(flat[pos:pos + mi - 1]))
-        pos += mi - 1
-    return DimVector(flat[0], flat[1], tuple(arms))
-
-
 def _tube_candidates(t: CanonicalType, level: int):
-    """All (indec, flat dim, top bit, simples) with every coordinate <= level.
+    """All (indec, dim entries, top bit, simples) with every coordinate <= level.
 
     The tube simple e_{i,j} is numbered m_1 + ... + m_{i-1} + j; the top bit
     is 1 << that number, and ``simples`` lists (number, multiplicity) over
@@ -112,12 +99,12 @@ def _tube_candidates(t: CanonicalType, level: int):
         for a in range(mi):
             for qlen in range(1, mi * (level + 1)):
                 x = TubeIndec(i, a, qlen)
-                flat = _flat(dim_vector(t, x))
-                if max(flat) > level:
+                dim = tuple(dim_vector(t, x).entries())
+                if max(dim) > level:
                     break
                 top = (a + qlen - 1) % mi
                 simples = Counter(base[i] + (a + u) % mi for u in range(qlen))
-                out.append((x, flat, 1 << (base[i] + top), tuple(simples.items())))
+                out.append((x, dim, 1 << (base[i] + top), tuple(simples.items())))
     return out
 
 
@@ -146,10 +133,9 @@ def strata(t: CanonicalType, p: int,
             if dprime.is_zero():
                 continue
             th, sd = dprime.d0 - dprime.dinf, euler_quadratic(t, dprime)
-            budget = tuple(q - b for b in _flat(dprime))
+            budget = tuple(q - b for b in dprime.entries())
             # <d', e_{i,j}> = d'_{i,j} - d'_{i,j+1}, one entry per tube simple
-            pe = [a - b for arm in dprime.arms
-                  for a, b in pairwise((dprime.d0, *arm, dprime.dinf))]
+            pe = [a - b for chain in dprime.chains() for a, b in pairwise(chain)]
             needed = sum(1 << s for s, v in enumerate(pe) if v == 0)
             fits = [k for k, (_, dim, _, _) in enumerate(cands) if all(map(le, dim, budget))]
             pairs = [0] * len(cands)
@@ -178,7 +164,7 @@ def enumerate_Zp(t: CanonicalType, p: int, cap: int = DEFAULT_ZCAP) -> Iterator[
 def _extend(t, dprime, q, cands, fits, budget, covered, needed,
             suffix_mask, members, pair, xx, pairs, hom):
     if covered & needed == needed:
-        ddouble = _unflat(t, budget)
+        ddouble = DimVector.from_entries(t, budget)
         if in_Q(t, ddouble):
             xclass = RegularModuleClass(tuple(cands[k][0] for k in members))
             yield ZTriple(dprime, ddouble, xclass, q), pair, xx
@@ -339,8 +325,8 @@ def _slice_witness(t: CanonicalType, p: int, s: int) -> ZTriple:
     of p*h.  Raises RuntimeError if it is not a member of Z_p."""
     dprime = DimVector(s, 0, tuple(geometry._arm_min_chains(mi, s)[0] for mi in t.m))
     xclass = RegularModuleClass(tuple(
-        TubeIndec(i, j, 1) for i, arm in enumerate(dprime.arms, start=1)
-        for j, (a, b) in enumerate(pairwise((s, *arm, 0))) if a == b))
+        TubeIndec(i, j, 1) for i, chain in enumerate(dprime.chains(), start=1)
+        for j, (a, b) in enumerate(pairwise(chain)) if a == b))
     z = ZTriple(dprime, p * basis_h(t) - dprime - dim_vector(t, xclass), xclass, p)
     if not z.is_member(t, p):
         raise RuntimeError(f"slice witness {z.to_dict()} is not in Z_p for {t}, p={p}")

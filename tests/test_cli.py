@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +129,25 @@ def test_json_deterministic(capsys):
     assert out1 == out2
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("classify_237", ("classify", "--type", "2,3,7")),
+    ("ci_55555_p5", ("ci", "--type", "5,5,5,5,5", "--p", "5")),
+    ("components_55555_p5", ("components", "--type", "5,5,5,5,5", "--p", "5")),
+    ("witness_3333333", ("witness", "--type", "3,3,3,3,3,3,3")),
+    ("oracle_222_full", ("oracle", "--type", "2,2,2", "--full", "--sizes", "2")),
+    ("zeroset_222_p4", ("zeroset", "--type", "2,2,2", "--p", "4")),
+    ("zeroset_234_p2", ("zeroset", "--type", "2,3,4", "--p", "2")),
+])
+def test_json_output_matches_golden(capsys, name, argv):
+    # tests/golden holds the JSON stdout of each query, byte for byte
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.json").read_text()
+
+
 def test_invalid_type_exits_2(capsys):
     code, _, err = run(capsys, "classify", "--type", "2,1,2")
     assert code == 2
@@ -163,6 +183,7 @@ def test_level_zero_exits_2(capsys, command):
     (("--mu", "1/0"), "--mu takes rationals"),
     (("--lambdas", "x"), "--lambdas takes rationals"),
     (("--sizes", "0"), "--sizes must be >= 1"),
+    (("--lambdas", ""), "--lambdas takes rationals"),
 ])
 def test_oracle_bad_input_exits_2(capsys, extra, message):
     code, out, err = run(capsys, "oracle", "--type", "2,2,2", *extra)

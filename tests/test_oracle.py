@@ -156,6 +156,16 @@ def test_random_cone_point():
 def test_matrix_rep_shape_validation():
     with pytest.raises(ValueError):
         MatrixRep(T222, basis_e(T222, 1, 1), {(1, 1): ((Fraction(1), Fraction(0)),)})
+    with pytest.raises(ValueError):
+        MatrixRep(T222, basis_h(T222), {(1, 3): ((Fraction(1),),)})
+    # a matrix reshaped after construction: arrow (3, 1) becomes 2x1 while
+    # vertex 0 is one-dimensional; the relation check must not pass it
+    rep = build_homogeneous(T222, LAM, Fraction(5, 2), 1)
+    rep.mats[(3, 1)] += ((Fraction(7),),)
+    with pytest.raises(ValueError, match=r"arrow \(3,1\) must be 1x1"):
+        check_relations(T222, LAM, rep)
+    with pytest.raises(ValueError):
+        hom_dim_linear(T222, LAM, rep, rep)
 
 
 def test_serialization():

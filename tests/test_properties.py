@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from canalg.cones import decompose_slope_one, in_P, in_Q
@@ -119,8 +120,18 @@ def test_slope_one_round_trip(t, r, data):
 @settings(deadline=None, max_examples=200)
 @given(type_and_vector())
 def test_text_round_trip(tv):
-    _, d = tv
+    t, d = tv
     assert parse_dim_vector(format_dim_vector(d)) == d
+    # the flat order and the arm chains: entries() round-trips through
+    # from_entries, and chain i sits at the flat indices t.chain_index[i-1]
+    flat = tuple(d.entries())
+    assert DimVector.from_entries(t, flat) == d
+    for i, (chain, index) in enumerate(zip(d.chains(), t.chain_index), start=1):
+        assert chain == tuple(flat[k] for k in index)
+        assert [d.entry(i, j) for j in range(t.m[i - 1] + 1)] == list(chain)
+        for j in (-1, t.m[i - 1] + 1):
+            with pytest.raises(ValueError):
+                d.entry(i, j)
 
 
 @settings(deadline=None, max_examples=100)
