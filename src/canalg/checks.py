@@ -263,36 +263,32 @@ def zeroset_suite(t: CanonicalType, pmax: int = 4,
     if t.product > zeroset.BRUTE_PRODUCT_LIMIT or pmax > zeroset.BRUTE_P_LIMIT:
         return out
 
-    # One pass over Z_pmax: a tally per level, the first end-bound failure,
-    # and the first and last 200 triples for the membership recheck.
-    levels = range(1, pmax + 1)
-    a_ph = {p: a_dim(t, p * basis_h(t)) for p in levels}
-    tgt = {p: zeroset.target_zero_dim(t, p) for p in levels}
-    tally = Counter()
+    # One pass over the flat stream of Z_pmax: a count per distinct
+    # (q, th, sd, pair, xx), the first end-bound failure, and the first and
+    # last 200 leaves, built as triples only for the membership recheck.
+    from .zpstream import _FlatZp, _level_tally
+
+    flat = _FlatZp(t, pmax)
+    keys = Counter()
     head = []
     tail = deque(maxlen=200)
     end_detail = ""
-    for z, th, sd, pair, xx in zeroset.strata(t, pmax, cap=cap):
-        if len(head) < 200:
-            head.append(z)
-        tail.append(z)
-        if not end_detail:
-            if xx < t.total - t.n * th:
-                end_detail = f"end bound fails at {z.to_dict()}"
-            elif pair < 0:
-                end_detail = f"pairing < 0 at {z.to_dict()}"
-        for p in range(z.q, pmax + 1):
-            d = zeroset._deficiency(t, p, z.q, th, sd)
-            plus = zeroset._is_equality(t, p, z.q, th, pair, xx)
-            flat = d == 0 and a_ph[p] - zeroset._stratum_codim(
-                p, z.q, th, sd, pair, xx) == tgt[p]
-            tally["slope", p] += th == 1 and d != p - z.q
-            tally["negative", p] += d < 0
-            tally["plus", p] += plus
-            tally["flat", p] += flat
-            tally["split", p] += plus != flat
+    for q, dprime, th, sd, leaves in flat.blocks(cap):
+        keys.update((q, th, sd, pair, xx) for *_, pair, xx in leaves)
+        head += [(q, dprime, leaf) for leaf in leaves[:200 - len(head)]]
+        tail.extend((q, dprime, leaf) for leaf in leaves[-200:])
+        least_xx = t.total - t.n * th
+        for packed, members, pair, xx in [] if end_detail else leaves:
+            if xx < least_xx or pair < 0:
+                z = flat.triple(q, dprime, packed, members).to_dict()
+                end_detail = f"end bound fails at {z}" if xx < least_xx else f"pairing < 0 at {z}"
+                break
 
-    ok = all(z.is_member(t, pmax) for z in head + list(tail))
+    levels = range(1, pmax + 1)
+    tally = _level_tally(t, pmax, keys)
+    recheck = [flat.triple(q, dprime, packed, members)
+               for q, dprime, (packed, members, _, _) in head + list(tail)]
+    ok = all(z.is_member(t, pmax) for z in recheck)
     out.append(CheckResult(f"zeroset/membership-recheck[{t},p<={pmax}]", ok))
     out.append(CheckResult(f"zeroset/end-bound[{t},p<={pmax}]", not end_detail, end_detail))
 

@@ -128,11 +128,10 @@ class DimVector:
         return [(d0, *arm, dinf) for arm in self.arms]
 
     def entry(self, i: int, j: int) -> int:
-        """Coordinate at arm vertex (i, j), j in [0, m_i]."""
-        chain = self.chains()[i - 1]
-        if not 0 <= j < len(chain):
+        """Coordinate at arm vertex (i, j), i in [1, n] and j in [0, m_i]."""
+        if not 1 <= i <= len(self.arms) or not 0 <= j <= len(self.arms[i - 1]) + 1:
             raise ValueError(f"vertex ({i},{j}) out of range")
-        return chain[j]
+        return self.chains()[i - 1][j]
 
     def entries(self) -> Iterator[int]:
         """All coordinates, one per vertex: d0, dinf, then interior values."""

@@ -13,24 +13,23 @@ has a closed form: the term (p-q)<d',h> is never negative, so the least is at
 q = p, and on each slice <d',h> = s the least <d',d'> is the geometry slice
 minimum.  The decision is one O(n*p) pass over s in [1, p]; a negative
 minimum is attained by a triple built from the minimizing slice, which is
-rechecked as a member of Z_p.  Only the consumers of all of Z_p enumerate it.
+rechecked as a member of Z_p.  Only the consumers of all of Z_p enumerate it,
+through the flat search of zpstream.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, pairwise
 from math import prod
-from operator import le, sub
 from typing import Iterator
 
 from . import geometry
-from .cones import EnumerationCapExceeded, enumerate_P, in_P, in_Q
+from .cones import in_P, in_Q
 from .forms import (CanonicalType, DimVector, a_dim, basis_e, basis_h,
                     euler_form, euler_quadratic, format_dim_vector)
-from .tubes import (RegularModuleClass, TubeIndec, dim_vector, end_dim, hom_dim_tube,
+from .tubes import (RegularModuleClass, TubeIndec, dim_vector, end_dim,
                     hom_to_simple_nonzero)
 
 DEFAULT_ZCAP = 5 * 10**6
@@ -82,72 +81,20 @@ class ZTriple:
         }
 
 
-def _tube_candidates(t: CanonicalType, level: int):
-    """All (indec, dim entries, top bit, simples) with every coordinate <= level.
-
-    The tube simple e_{i,j} is numbered m_1 + ... + m_{i-1} + j; the top bit
-    is 1 << that number, and ``simples`` lists (number, multiplicity) over
-    the composition factors.
-    """
-    base = {}
-    acc = 0
-    for i, mi in enumerate(t.m, start=1):
-        base[i] = acc
-        acc += mi
-    out = []
-    for i, mi in enumerate(t.m, start=1):
-        for a in range(mi):
-            for qlen in range(1, mi * (level + 1)):
-                x = TubeIndec(i, a, qlen)
-                dim = tuple(dim_vector(t, x).entries())
-                if max(dim) > level:
-                    break
-                top = (a + qlen - 1) % mi
-                simples = Counter(base[i] + (a + u) % mi for u in range(qlen))
-                out.append((x, dim, 1 << (base[i] + top), tuple(simples.items())))
-    return out
-
-
 def strata(t: CanonicalType, p: int,
            cap: int = DEFAULT_ZCAP) -> Iterator[tuple[ZTriple, int, int, int, int]]:
     """Every triple z of Z_p with <d',h>, <d',d'>, <d',dim X> and dim End X.
 
-    Yields (z, th, sd, pair, xx) in enumerate_Zp order.  The triples come in
-    (q, d') blocks, one per nonzero d' in enumerate_P(t, q) for q <= p;
-    th = d0 - dinf, sd and the pairings of d' with the fitting tube
-    candidates are taken once per block, and pair (linear in X) and xx
-    (bilinear in X, from a Hom table over the candidates) are carried
-    through the completion search as each summand is added.  Past ``cap``
-    triples the stream raises EnumerationCapExceeded.
+    Yields (z, th, sd, pair, xx) in enumerate_Zp order: the leaves of the
+    flat search zpstream._FlatZp.blocks, each built as a ZTriple here.  Past
+    ``cap`` triples the stream raises EnumerationCapExceeded.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    cands = _tube_candidates(t, p)
-    suffix_mask = [0] * (len(cands) + 1)
-    for k in range(len(cands) - 1, -1, -1):
-        suffix_mask[k] = suffix_mask[k + 1] | cands[k][2]
-    hom = [[hom_dim_tube(t, x, y) for y, *_ in cands] for x, *_ in cands]
-    emitted = 0
-    for q in range(1, p + 1):
-        for dprime in enumerate_P(t, q):
-            if dprime.is_zero():
-                continue
-            th, sd = dprime.d0 - dprime.dinf, euler_quadratic(t, dprime)
-            budget = tuple(q - b for b in dprime.entries())
-            # <d', e_{i,j}> = d'_{i,j} - d'_{i,j+1}, one entry per tube simple
-            pe = [a - b for chain in dprime.chains() for a, b in pairwise(chain)]
-            needed = sum(1 << s for s, v in enumerate(pe) if v == 0)
-            fits = [k for k, (_, dim, _, _) in enumerate(cands) if all(map(le, dim, budget))]
-            pairs = [0] * len(cands)
-            for k in fits:
-                pairs[k] = sum(c * pe[s] for s, c in cands[k][3])
-            for z, pair, xx in _extend(t, dprime, q, cands, fits, budget, 0, needed,
-                                       suffix_mask, [], 0, 0, pairs, hom):
-                emitted += 1
-                if emitted > cap:
-                    raise EnumerationCapExceeded(
-                        f"cap {cap} exceeded enumerating Z_p for {t}, p={p}")
-                yield z, th, sd, pair, xx
+    from .zpstream import _FlatZp  # here, so queries that never enumerate skip it
+
+    flat = _FlatZp(t, p)
+    for q, dprime, th, sd, leaves in flat.blocks(cap):
+        for packed, members, pair, xx in leaves:
+            yield flat.triple(q, dprime, packed, members), th, sd, pair, xx
 
 
 def enumerate_Zp(t: CanonicalType, p: int, cap: int = DEFAULT_ZCAP) -> Iterator[ZTriple]:
@@ -159,28 +106,6 @@ def enumerate_Zp(t: CanonicalType, p: int, cap: int = DEFAULT_ZCAP) -> Iterator[
     """
     for z, *_ in strata(t, p, cap):
         yield z
-
-
-def _extend(t, dprime, q, cands, fits, budget, covered, needed,
-            suffix_mask, members, pair, xx, pairs, hom):
-    if covered & needed == needed:
-        ddouble = DimVector.from_entries(t, budget)
-        if in_Q(t, ddouble):
-            xclass = RegularModuleClass(tuple(cands[k][0] for k in members))
-            yield ZTriple(dprime, ddouble, xclass, q), pair, xx
-    missing = needed & ~covered
-    for pos, k in enumerate(fits):
-        if missing & ~suffix_mask[k]:
-            break  # later candidates cannot supply the missing tops
-        _, dim, topbit, _ = cands[k]
-        new_budget = tuple(map(sub, budget, dim))
-        sub_fits = [kk for kk in fits[pos:] if all(map(le, cands[kk][1], new_budget))]
-        new_xx = xx + hom[k][k] + sum(hom[k][y] + hom[y][k] for y in members)
-        members.append(k)
-        yield from _extend(t, dprime, q, cands, sub_fits, new_budget,
-                           covered | topbit, needed, suffix_mask, members,
-                           pair + pairs[k], new_xx, pairs, hom)
-        members.pop()
 
 
 def _deficiency(t: CanonicalType, p: int, q: int, th: int, sd: int) -> int:
@@ -234,9 +159,15 @@ def plus_condition(t: CanonicalType, p: int, z: ZTriple) -> bool:
 
 
 def components_bruteforce(t: CanonicalType, p: int) -> list[ZTriple]:
-    """All stratum labels satisfying the equality conditions, by exhaustion."""
-    return [z for z, th, _, pair, xx in strata(t, p)
-            if _is_equality(t, p, z.q, th, pair, xx)]
+    """All stratum labels satisfying the equality conditions, by exhaustion
+    over the flat stream; only the equality strata are built as triples."""
+    from .zpstream import _FlatZp
+
+    flat = _FlatZp(t, p)
+    return [flat.triple(q, dprime, packed, members)
+            for q, dprime, th, _, leaves in flat.blocks(DEFAULT_ZCAP)
+            for packed, members, pair, xx in leaves
+            if _is_equality(t, p, q, th, pair, xx)]
 
 
 def component_count_formula(t: CanonicalType, p: int) -> int:

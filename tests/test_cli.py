@@ -140,6 +140,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ("oracle_222_full", ("oracle", "--type", "2,2,2", "--full", "--sizes", "2")),
     ("zeroset_222_p4", ("zeroset", "--type", "2,2,2", "--p", "4")),
     ("zeroset_234_p2", ("zeroset", "--type", "2,3,4", "--p", "2")),
+    ("verify_2222_p3", ("verify", "--type", "2,2,2,2", "--pmax", "3", "--seed", "1")),
 ])
 def test_json_output_matches_golden(capsys, name, argv):
     # tests/golden holds the JSON stdout of each query, byte for byte

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from canalg.cones import decompose_slope_one, in_P, in_Q
 from canalg.forms import (CanonicalType, DimVector, a_dim, basis_e, basis_h,
@@ -119,6 +119,7 @@ def test_slope_one_round_trip(t, r, data):
 
 @settings(deadline=None, max_examples=200)
 @given(type_and_vector())
+@example((CanonicalType((2, 2, 2)), DimVector(5, 1, ((2,), (3,), (4,)))))
 def test_text_round_trip(tv):
     t, d = tv
     assert parse_dim_vector(format_dim_vector(d)) == d
@@ -132,6 +133,10 @@ def test_text_round_trip(tv):
         for j in (-1, t.m[i - 1] + 1):
             with pytest.raises(ValueError):
                 d.entry(i, j)
+    # arm indices are 1-based: 0 and -1 must not wrap round to the last arms
+    for i in (0, -1, t.n + 1):
+        with pytest.raises(ValueError):
+            d.entry(i, 1)
 
 
 @settings(deadline=None, max_examples=100)

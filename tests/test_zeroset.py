@@ -1,13 +1,14 @@
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import prod
 
 import pytest
 
-from canalg import geometry
-from canalg.cones import EnumerationCapExceeded, decompose_slope_one
-from canalg.forms import (CanonicalType, basis_e0, basis_einf, basis_h,
-                          euler_form, euler_quadratic)
+from canalg import geometry, zeroset, zpstream
+from canalg.cones import EnumerationCapExceeded, decompose_slope_one, in_Q
+from canalg.forms import (CanonicalType, DimVector, a_dim, basis_e0, basis_einf,
+                          basis_h, euler_form, euler_quadratic)
 from canalg.geometry import is_normal
 from canalg.tubes import RegularModuleClass, TubeIndec, dim_vector, end_dim
 from canalg.zeroset import (OutsideProvenRange, ZeroSetReport, ZTriple,
@@ -225,6 +226,61 @@ def test_strata_matches_per_triple_route():
             assert (pair, xx) == (euler_form(t, z.dprime, dim_x), end_x), z
             for p in {z.q, pmax}:
                 assert _is_equality(t, p, z.q, th, pair, xx) == plus_condition(t, p, z), z
+
+
+def test_flat_Q_test_matches_in_Q():
+    # every entry tuple in [0, 3]: the zero vector, d0 == dinf and d0 > dinf
+    for arms in ((2, 2, 2), (2, 3, 3), (2, 2, 2, 2)):
+        t = CanonicalType(arms)
+        flat = zpstream._FlatZp(t, 3)
+        kinds = set()
+        for b in product(range(4), repeat=t.vertex_count):
+            want = in_Q(t, DimVector.from_entries(t, b))
+            assert flat.in_Q(flat.pack(b), flat.rise_guard + flat.rises(b)) == want, (arms, b)
+            kinds.add((want, (b[0] > b[1]) - (b[0] < b[1]), any(b)))
+        assert kinds == {(True, 0, False), (True, -1, True), (False, -1, True),
+                         (False, 0, True), (False, 1, True)}
+
+
+def _per_triple_tally(t, pmax):
+    # the per-triple level loop the verify suite ran before it keyed its tally
+    a_ph = {p: a_dim(t, p * basis_h(t)) for p in range(1, pmax + 1)}
+    tgt = {p: target_zero_dim(t, p) for p in range(1, pmax + 1)}
+    tally = Counter()
+    for z, th, sd, pair, xx in strata(t, pmax):
+        for p in range(z.q, pmax + 1):
+            d = zeroset._deficiency(t, p, z.q, th, sd)
+            plus = _is_equality(t, p, z.q, th, pair, xx)
+            flat = d == 0 and a_ph[p] - zeroset._stratum_codim(
+                p, z.q, th, sd, pair, xx) == tgt[p]
+            tally["slope", p] += th == 1 and d != p - z.q
+            tally["negative", p] += d < 0
+            tally["plus", p] += plus
+            tally["flat", p] += flat
+            tally["split", p] += plus != flat
+    return tally
+
+
+@pytest.mark.parametrize("arms, pmax", [((2, 2, 2), 4), ((2, 2, 2, 2), 3), ((2, 3, 3), 3)])
+def test_keyed_tally_matches_per_triple_loop(arms, pmax):
+    # the tally holds every level p <= pmax
+    t = CanonicalType(arms)
+    keys = Counter((q, th, sd, pair, xx)
+                   for q, _, th, sd, leaves in zpstream._FlatZp(t, pmax).blocks(10**9)
+                   for *_, pair, xx in leaves)
+    want = _per_triple_tally(t, pmax)
+    assert {p for _, p in want} == set(range(1, pmax + 1))
+    assert zpstream._level_tally(t, pmax, keys) == want
+
+
+def test_strata_cap_is_exact():
+    # the cap cuts inside a block: exactly cap triples come out, then the error
+    for cap in (0, 1, 93, 100, 2140):
+        got = []
+        with pytest.raises(EnumerationCapExceeded):
+            got.extend(strata(T222, 3, cap))
+        assert len(got) == cap
+    assert len(list(strata(T222, 3, 2141))) == 2141
 
 
 def test_zeroset_witness_outside_enumeration_window():
