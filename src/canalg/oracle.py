@@ -21,7 +21,8 @@ from functools import reduce
 from itertools import accumulate, pairwise
 from math import lcm
 from operator import mul
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from . import linalg
 from .cones import in_P, in_Q
@@ -68,35 +69,35 @@ def _arrows(d: DimVector) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
             yield (i, j), shape
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatrixRep:
     """Arrow matrices over exact rationals, one per arrow (i, j), j in [1, m_i].
 
     The matrix at (i, j) maps the space at vertex (i, j) to the space at
     (i, j - 1) and therefore has shape d_{i,j-1} x d_{i,j}; arrows left out
-    of ``mats`` carry the zero matrix.
+    of ``mats`` carry the zero matrix.  Construction copies ``mats`` into a
+    read-only mapping of tuples and checks every shape once.
     """
 
     t: CanonicalType
     dim: DimVector
-    mats: dict[tuple[int, int], Matrix] = field(default_factory=dict)
+    mats: Mapping[tuple[int, int], Matrix] = field(default_factory=dict)
+    _relations: dict[LambdaChoice, bool] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.dim.matches(self.t):
             raise ValueError("dimension vector does not fit the type")
-        for arrow, shape in _arrows(self.dim):
-            self.mats.setdefault(arrow, linalg.zeros(*shape))
-        self.check_shapes()
-
-    def check_shapes(self) -> None:
-        """Raise ValueError unless there is one matrix per arrow, of its shape."""
         shapes = dict(_arrows(self.dim))
-        if self.mats.keys() != shapes.keys():
+        if not self.mats.keys() <= shapes.keys():
             raise ValueError(f"matrices must sit on the arrows of type {self.t}")
-        for (i, j), (rows, cols) in shapes.items():
-            m = self.mats[(i, j)]
+        mats = {arrow: tuple(map(tuple, self.mats.get(arrow, linalg.zeros(*shape))))
+                for arrow, shape in shapes.items()}
+        for (i, j), m in mats.items():
+            rows, cols = shapes[(i, j)]
             if len(m) != rows or any(map(cols.__ne__, map(len, m))):
                 raise ValueError(f"matrix at arrow ({i},{j}) must be {rows}x{cols}")
+        object.__setattr__(self, "mats", MappingProxyType(mats))
 
     def mat(self, i: int, j: int) -> Matrix:
         return self.mats[(i, j)]
@@ -128,20 +129,19 @@ class MatrixRep:
 def check_relations(t: CanonicalType, lam: LambdaChoice, rep: MatrixRep) -> bool:
     """Exact zero test of C1 + lambda_i*C2 - Ci for every i in [3, n].
 
-    A matrix of the wrong shape raises ValueError: ``rep.mats`` may have
-    changed since construction checked it.
+    The verdict is computed once per lambda and kept in ``rep._relations``;
+    a representation of another type raises ValueError.
     """
+    if rep.t != t:
+        raise ValueError(f"representation of type {rep.t}, not {t}")
     lam.check_against(t)
-    rep.check_shapes()
-    c1 = rep.composition(1)
-    c2 = rep.composition(2)
-    for i in range(3, t.n + 1):
-        residual = linalg.mat_sub(
-            linalg.mat_add(c1, linalg.mat_scale(lam.lam(i), c2)),
-            rep.composition(i))
-        if not linalg.is_zero(residual):
-            return False
-    return True
+    if lam not in rep._relations:
+        c1, c2 = rep.composition(1), rep.composition(2)
+        rep._relations[lam] = all(
+            linalg.is_zero(linalg.mat_sub(
+                linalg.mat_add(c1, linalg.mat_scale(lam.lam(i), c2)), rep.composition(i)))
+            for i in range(3, t.n + 1))
+    return rep._relations[lam]
 
 
 def _tube_scalars(t: CanonicalType, lam: LambdaChoice, i: int) -> dict[int, Fraction]:

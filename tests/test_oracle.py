@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from canalg.checks import oracle_suite
 from canalg.forms import (CanonicalType, basis_e, basis_einf, basis_h,
                           parse_dim_vector, slope_one_vector)
 from canalg.oracle import (LambdaChoice, MatrixRep, build_exceptional_simple,
@@ -124,10 +126,9 @@ def test_direct_sum():
 
 def test_exactness_of_relation_check():
     rep = build_homogeneous(T222, LAM, Fraction(2), 2)
-    bad = MatrixRep(T222, rep.dim, dict(rep.mats))
-    m = [list(r) for r in bad.mat(2, 1)]
+    m = [list(r) for r in rep.mat(2, 1)]
     m[0][1] += Fraction(1, 10**12)
-    bad.mats[(2, 1)] = tuple(tuple(r) for r in m)
+    bad = MatrixRep(T222, rep.dim, {**rep.mats, (2, 1): m})
     assert not check_relations(T222, LAM, bad)
     with pytest.raises(ValueError):
         hom_dim_linear(T222, LAM, bad, rep)
@@ -158,14 +159,76 @@ def test_matrix_rep_shape_validation():
         MatrixRep(T222, basis_e(T222, 1, 1), {(1, 1): ((Fraction(1), Fraction(0)),)})
     with pytest.raises(ValueError):
         MatrixRep(T222, basis_h(T222), {(1, 3): ((Fraction(1),),)})
-    # a matrix reshaped after construction: arrow (3, 1) becomes 2x1 while
-    # vertex 0 is one-dimensional; the relation check must not pass it
+    # arrow (3, 1) reshaped to 2x1 while vertex 0 is one-dimensional: after
+    # construction the reshape is refused, at construction it raises
     rep = build_homogeneous(T222, LAM, Fraction(5, 2), 1)
-    rep.mats[(3, 1)] += ((Fraction(7),),)
+    before = dict(rep.mats)
+    with pytest.raises(TypeError):
+        rep.mats[(3, 1)] += ((Fraction(7),),)
+    assert rep.mats == before and check_relations(T222, LAM, rep)
+    assert hom_dim_linear(T222, LAM, rep, rep) == 1
     with pytest.raises(ValueError, match=r"arrow \(3,1\) must be 1x1"):
-        check_relations(T222, LAM, rep)
+        MatrixRep(T222, rep.dim, {**rep.mats, (3, 1): rep.mat(3, 1) + ((Fraction(7),),)})
+
+
+def test_matrix_rep_owns_its_matrices():
+    mats = {}
+    rep = MatrixRep(T222, basis_h(T222), mats)
+    assert mats == {}
+    assert rep.mat(1, 1) == ((Fraction(0),),)
+    rows = [[Fraction(2)]]
+    rep = MatrixRep(T222, basis_h(T222), {(1, 1): rows})
+    rows[0][0] = Fraction(3)
+    rows.append([Fraction(4)])
+    assert rep.mat(1, 1) == ((Fraction(2),),)
+    for built in (rep, build_exceptional_simple(T234, LAM, 3, 0),
+                  build_length_two(T234, LAM, 3, 3), build_homogeneous(T234, LAM, Fraction(2), 2),
+                  direct_sum(build_exceptional_simple(T222, LAM, 1, 1), rep),
+                  random_cone_point(T234, LAM, parse_dim_vector("3;2/2,1/2,2,1;0"),
+                                    random.Random(1))):
+        with pytest.raises(TypeError):
+            built.mats[(1, 1)] = built.mat(1, 1)
+
+
+def test_representation_of_another_type_is_refused():
+    t323, t233 = CanonicalType((3, 2, 3)), CanonicalType((2, 3, 3))
+    jj = build_homogeneous(t233, LAM, Fraction(5), 2)
     with pytest.raises(ValueError):
-        hom_dim_linear(T222, LAM, rep, rep)
+        check_relations(t323, LAM, jj)
+    with pytest.raises(ValueError):
+        hom_dim_linear(t323, LAM, jj, jj)
+    with pytest.raises(ValueError):
+        hom_dim_linear(t323, LAM, build_exceptional_simple(t323, LAM, 1, 1), jj)
+
+
+def test_relations_are_checked_once_per_lambda(monkeypatch):
+    calls = Counter()
+    compose = MatrixRep.composition
+
+    def counted(rep, i):
+        calls[id(rep)] += 1
+        return compose(rep, i)
+
+    monkeypatch.setattr(MatrixRep, "composition", counted)
+    a = build_length_two(T234, LAM, 3, 0)
+    b = build_homogeneous(T234, LAM, Fraction(2), 2)
+    assert hom_dim_linear(T234, LAM, a, b) == 0
+    assert calls == {id(a): T234.n, id(b): T234.n}
+    assert hom_dim_linear(T234, LAM, a, b) == 0
+    assert check_relations(T234, LAM, a) and check_relations(T234, LAM, b)
+    assert calls == {id(a): T234.n, id(b): T234.n}
+    # a second lambda is a second pass
+    other = LambdaChoice((Fraction(3),))
+    assert not check_relations(T234, other, b)
+    assert calls[id(b)] == 2 * T234.n
+
+    calls.clear()
+    results = oracle_suite(T234, sizes=(1, 2, 3, 4, 5), full=True)
+    assert all(r.ok for r in results)
+    # one pass of three compositions per representation the suite builds:
+    # 18 tube modules, 5 homogeneous, the direct sum, the perturbed point
+    # and the cone point (two more compositions while it is drawn)
+    assert sum(calls.values()) == 3 * (18 + 5 + 3) + 2
 
 
 def test_serialization():

@@ -151,6 +151,29 @@ def test_wild_margin_values():
         check_wild_margin(T237, 4)
 
 
+def test_wild_margin_endpoints_match_full_scan():
+    # reference: the margin at every integer of [2, p], scaled by the
+    # denominator b of delta = a/b to stay in integers
+    cases = 0
+    for n in (3, 4, 5):
+        for m in combinations_with_replacement(range(2, 8), n):
+            t = CanonicalType(m)
+            a, b = t.delta.numerator, t.delta.denominator
+            if not 0 < a < b:
+                continue
+
+            def scaled(p, x):
+                return b * (x * (p - n) + n - p - 1) - a * x * x
+
+            thr = zeroset_threshold(t)
+            assert scaled(thr, 3) == b * wild_margin(t, thr, 3)
+            for p in range(thr, thr + 31):
+                scan = all(scaled(p, x) > 0 for x in range(2, p + 1))
+                assert check_wild_margin(t, p) == scan, (m, p)
+                cases += 1
+    assert cases == 375 * 31
+
+
 def test_zeroset_is_ci():
     assert zeroset_is_ci(T222, 4)
     assert zeroset_is_ci(T236, 5)
