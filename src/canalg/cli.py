@@ -13,10 +13,10 @@ import json
 import sys
 from fractions import Fraction
 
-from . import checks, geometry, oracle, zeroset
-from .cones import DEFAULT_CAP, EnumerationCapExceeded
+# Each handler imports the modules only it runs, so a short query skips the rest.
+from . import geometry
+from .cones import DEFAULT_CAP, DEFAULT_ZCAP, EnumerationCapExceeded
 from .forms import CanonicalType, euler_quadratic, format_dim_vector
-from .zeroset import OutsideProvenRange
 
 
 def _rational(option: str, text: str) -> Fraction:
@@ -24,6 +24,12 @@ def _rational(option: str, text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{option} takes rationals such as 2 or -3/4, got {text!r}") from None
+
+
+def _at_least_one(*options: tuple[str, int]) -> None:
+    for option, value in options:
+        if value < 1:
+            raise ValueError(f"{option} must be >= 1, got {value}")
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -40,11 +46,12 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def cmd_classify(args) -> int:
+    from . import zeroset
     t = CanonicalType.parse(args.type)
     boundary, repr_type = geometry.classify_type(t)
     try:
         threshold = zeroset.zeroset_threshold(t)
-    except OutsideProvenRange:
+    except zeroset.OutsideProvenRange:
         threshold = None
     payload = {
         "type": str(t),
@@ -69,6 +76,7 @@ def cmd_ci(args) -> int:
 
 def cmd_components(args) -> int:
     t = CanonicalType.parse(args.type)
+    _at_least_one(("--cap", args.cap))
     comps = geometry.irreducible_components(t, args.p, cap=args.cap)
     payload = {
         "p": args.p,
@@ -80,6 +88,7 @@ def cmd_components(args) -> int:
 
 
 def cmd_zeroset(args) -> int:
+    from . import zeroset
     t = CanonicalType.parse(args.type)
     report = zeroset.ZeroSetReport.compute(t, args.p)
     _emit(report.to_dict(), args.format)
@@ -102,8 +111,8 @@ def cmd_witness(args) -> int:
     return 0
 
 
-def _emit_results(payload: dict, results: list[checks.CheckResult], fmt: str) -> None:
-    """The check results as JSON (after ``payload``) or one line per result."""
+def _emit_results(payload: dict, results: list, fmt: str) -> None:
+    """The ``checks.CheckResult`` list as JSON (after ``payload``) or one line per result."""
     if fmt == "json":
         rows = [{"name": r.name, "ok": r.ok, "details": r.details} for r in results]
         print(json.dumps({**payload, "results": rows}, indent=2))
@@ -116,10 +125,9 @@ def _emit_results(payload: dict, results: list[checks.CheckResult], fmt: str) ->
 
 
 def cmd_verify(args) -> int:
+    from . import checks
     t = CanonicalType.parse(args.type)
-    for option, value in (("--pmax", args.pmax), ("--samples", args.samples)):
-        if value < 1:
-            raise ValueError(f"{option} must be >= 1, got {value}")
+    _at_least_one(("--pmax", args.pmax), ("--samples", args.samples), ("--cap", args.cap))
     results = checks.run_all(t, pmax=args.pmax, seed=args.seed, samples=args.samples,
                              cap=args.cap)
     all_ok = all(r.ok for r in results)
@@ -134,9 +142,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import checks, oracle
     t = CanonicalType.parse(args.type)
-    if args.sizes < 1:
-        raise ValueError(f"--sizes must be >= 1, got {args.sizes}")
+    _at_least_one(("--sizes", args.sizes))
     if args.lambdas is not None:
         lam = oracle.LambdaChoice(tuple(_rational("--lambdas", x)
                                         for x in args.lambdas.split(",")))
@@ -179,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run all invariant suites")
     common(sp)
-    sp.add_argument("--cap", type=int, default=zeroset.DEFAULT_ZCAP,
+    sp.add_argument("--cap", type=int, default=DEFAULT_ZCAP,
                     help="most triples of Z_pmax the zero-set suite reads; exceeding "
                          "it is an error")
     sp.add_argument("--pmax", type=int, default=4)
@@ -215,7 +223,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return HANDLERS[args.command](args)
-    except (OutsideProvenRange, EnumerationCapExceeded, ValueError) as exc:
+    except (EnumerationCapExceeded, ValueError) as exc:  # OutsideProvenRange is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

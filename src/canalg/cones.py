@@ -13,7 +13,8 @@ from typing import Iterator
 
 from .forms import CanonicalType, DimVector, _check_shape, zero_vector
 
-DEFAULT_CAP = 10**8
+DEFAULT_CAP = 10**8  # vectors of P
+DEFAULT_ZCAP = 5 * 10**6  # triples of Z_p
 
 
 class EnumerationCapExceeded(RuntimeError):

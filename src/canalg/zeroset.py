@@ -26,13 +26,12 @@ from math import prod
 from typing import Iterator
 
 from . import geometry
-from .cones import in_P, in_Q
+from .cones import DEFAULT_ZCAP, in_P, in_Q
 from .forms import (CanonicalType, DimVector, a_dim, basis_e, basis_h,
                     euler_form, euler_quadratic, format_dim_vector)
 from .tubes import (RegularModuleClass, TubeIndec, dim_vector, end_dim,
                     hom_to_simple_nonzero)
 
-DEFAULT_ZCAP = 5 * 10**6
 
 # checks.zeroset_suite reads all of Z_p, which is desk-scale only, so it runs
 # its enumerated checks only within these limits.

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
+import canalg
 from canalg import cli, cones, geometry, zeroset
 from canalg.cli import main
 from canalg.forms import CanonicalType
@@ -106,12 +111,21 @@ def test_verify_exit_zero(capsys):
 
 @pytest.mark.parametrize("option, value", [
     ("--pmax", "0"), ("--pmax", "-3"), ("--samples", "0"), ("--samples", "-1"),
+    ("--cap", "0"), ("--cap", "-1"),
 ])
 def test_verify_rejects_empty_runs(capsys, option, value):
     code, out, err = run(capsys, "verify", "--type", "2,2,2", option, value)
     assert code == 2
     assert out == ""
     assert err == f"error: {option} must be >= 1, got {value}\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_components_rejects_cap_below_one(capsys, cap):
+    code, out, err = run(capsys, "components", "--type", "2,3,7", "--p", "3", "--cap", cap)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --cap must be >= 1, got {cap}\n"
 
 
 def test_oracle_subcommand(capsys):
@@ -260,3 +274,85 @@ def test_oracle_rational_parameters(capsys):
                          "--mu", "7/3", "--full", "--sizes", "4")
     assert code == 2 and out == ""
     assert err == "error: need 1 parameters for 2,3,4, got 2\n"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_python(code: str, *argv: str) -> str:
+    """stdout of ``code`` run in a new interpreter that imports canalg from src."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return proc.stdout
+
+
+LOADED_BY_QUERY = ("import contextlib, io, sys\n"
+                   "import canalg.cli\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    code = canalg.cli.main(sys.argv[1:])\n"
+                   "print(code, *sorted(m for m in sys.modules if m.startswith('canalg.')))\n")
+LEVEL_MODULES = {"canalg.cli", "canalg.cones", "canalg.forms", "canalg.geometry"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (("ci", "--type", "2,3,7", "--p", "5"), LEVEL_MODULES),
+    (("components", "--type", "2,3,7", "--p", "5"), LEVEL_MODULES),
+    (("witness", "--type", "2,3,7"), LEVEL_MODULES),
+    (("classify", "--type", "2,2,2"), LEVEL_MODULES | {"canalg.tubes", "canalg.zeroset"}),
+    (("zeroset", "--type", "2,2,2", "--p", "4"),
+     LEVEL_MODULES | {"canalg.tubes", "canalg.zeroset"}),
+], ids=["ci", "components", "witness", "classify", "zeroset"])
+def test_subcommand_loads_only_its_modules(argv, loaded):
+    # checks, oracle, linalg and zpstream belong to verify and oracle alone
+    code, *modules = fresh_python(LOADED_BY_QUERY, *argv).split()
+    assert code == "0"
+    assert set(modules) == loaded
+
+
+def test_bare_import_loads_no_submodule():
+    out = fresh_python("import sys, canalg\n"
+                       "print(*sorted(m for m in sys.modules if m.startswith('canalg.')))")
+    assert out.split() == []
+
+
+# The package surface as the eager imports exported it: owning module -> names.
+EXPORTS = {
+    "cones": ["EnumerationCapExceeded", "decompose_slope_one", "enumerate_P", "in_P", "in_Q"],
+    "forms": ["CanonicalType", "DimVector", "a_dim", "basis_e", "basis_e0", "basis_einf",
+              "basis_h", "euler_form", "euler_quadratic", "format_dim_vector", "gl_dim",
+              "parse_dim_vector", "quadratic_lower_bound", "quadratic_via_decomposition",
+              "slope_one_vector", "zero_vector"],
+    "geometry": ["boundary_component_count", "ci_defect", "ci_failure_witness",
+                 "classify_type", "component_count", "irreducible_components",
+                 "is_complete_intersection", "is_normal"],
+    "oracle": ["LambdaChoice", "MatrixRep", "build_exceptional_simple", "build_homogeneous",
+               "build_length_two", "check_relations", "direct_sum", "hom_dim_linear"],
+    "tubes": ["RegularModuleClass", "TubeIndec", "dim_vector", "end_dim", "hom_dim_regular",
+              "hom_dim_tube", "hom_to_simple_nonzero", "parse_regular_class",
+              "parse_tube_indec", "top_index"],
+    "zeroset": ["OutsideProvenRange", "ZeroSetReport", "ZTriple", "check_wild_margin",
+                "component_count_formula", "components_bruteforce", "diff", "enumerate_Zp",
+                "equality_stratum_count", "plus_condition", "strata", "stratum_dim",
+                "target_zero_dim", "wild_margin", "zeroset_is_ci", "zeroset_threshold"],
+}
+
+
+def test_lazy_exports_match_owning_modules():
+    assert canalg.__all__ == [name for names in EXPORTS.values() for name in names]
+    for module, names in EXPORTS.items():
+        owner = import_module(f"canalg.{module}")
+        for name in names:
+            assert getattr(canalg, name) is getattr(owner, name), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        canalg.no_such_name
+
+
+def test_submodules_resolve_as_attributes_on_a_fresh_import():
+    # bench/spans.py reads canalg.checks, canalg.cli, ... as attributes after import canalg.cli
+    modules = sorted(p.stem for p in (SRC / "canalg").glob("*.py")
+                     if p.stem not in ("__init__", "__main__"))
+    out = fresh_python("import sys, types, canalg\n"
+                       "print(*(isinstance(getattr(canalg, m), types.ModuleType)"
+                       " for m in sys.argv[1:]))", *modules)
+    assert out.split() == ["True"] * len(modules)
