@@ -9,7 +9,6 @@ subcommands, and the property-style portion of the test suite.
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -252,6 +251,11 @@ def tubes_suite(t: CanonicalType) -> list[CheckResult]:
     return out
 
 
+def _below_end(t: CanonicalType, th: int, xx: int) -> bool:
+    """Whether dim End X = xx is below |m| - n<d',h> for th = <d',h>."""
+    return xx < t.total - t.n * th
+
+
 def zeroset_suite(t: CanonicalType, pmax: int = 4,
                   cap: int = zeroset.DEFAULT_ZCAP) -> list[CheckResult]:
     out = []
@@ -263,32 +267,23 @@ def zeroset_suite(t: CanonicalType, pmax: int = 4,
     if t.product > zeroset.BRUTE_PRODUCT_LIMIT or pmax > zeroset.BRUTE_P_LIMIT:
         return out
 
-    # One pass over the flat stream of Z_pmax: a count per distinct
-    # (q, th, sd, pair, xx), the first end-bound failure, and the first and
-    # last 200 leaves, built as triples only for the membership recheck.
+    # Z_pmax is counted arm by arm, not searched: the tally reads how many
+    # triples carry each (q, th, sd, pair, xx).  Only the blocks holding the
+    # first and last 200 triples are searched, built as triples for the
+    # membership recheck, and all blocks only if some key breaks the end bound.
     from .zpstream import _FlatZp, _level_tally
 
     flat = _FlatZp(t, pmax)
-    keys = Counter()
-    head = []
-    tail = deque(maxlen=200)
+    keys = flat.key_counts(cap)
     end_detail = ""
-    for q, dprime, th, sd, leaves in flat.blocks(cap):
-        keys.update((q, th, sd, pair, xx) for *_, pair, xx in leaves)
-        head += [(q, dprime, leaf) for leaf in leaves[:200 - len(head)]]
-        tail.extend((q, dprime, leaf) for leaf in leaves[-200:])
-        least_xx = t.total - t.n * th
-        for packed, members, pair, xx in [] if end_detail else leaves:
-            if xx < least_xx or pair < 0:
-                z = flat.triple(q, dprime, packed, members).to_dict()
-                end_detail = f"end bound fails at {z}" if xx < least_xx else f"pairing < 0 at {z}"
-                break
+    if bad := flat.first_leaf(keys, lambda th, pair, xx: _below_end(t, th, xx) or pair < 0):
+        z, th, _, xx = bad
+        end_detail = (f"end bound fails at {z.to_dict()}" if _below_end(t, th, xx)
+                      else f"pairing < 0 at {z.to_dict()}")
 
     levels = range(1, pmax + 1)
     tally = _level_tally(t, pmax, keys)
-    recheck = [flat.triple(q, dprime, packed, members)
-               for q, dprime, (packed, members, _, _) in head + list(tail)]
-    ok = all(z.is_member(t, pmax) for z in recheck)
+    ok = all(z.is_member(t, pmax) for z in flat.edge_triples(200))
     out.append(CheckResult(f"zeroset/membership-recheck[{t},p<={pmax}]", ok))
     out.append(CheckResult(f"zeroset/end-bound[{t},p<={pmax}]", not end_detail, end_detail))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import pairwise
 from math import lcm, prod
 from operator import mul
@@ -183,8 +183,10 @@ def zero_vector(t: CanonicalType) -> DimVector:
     return DimVector(0, 0, tuple(tuple(0 for _ in range(mi - 1)) for mi in t.m))
 
 
+@cache
 def basis_h(t: CanonicalType) -> DimVector:
-    """The vector with every coordinate equal to 1."""
+    """The vector with every coordinate equal to 1, one shared instance per
+    type (DimVector is frozen)."""
     return DimVector(1, 1, tuple(tuple(1 for _ in range(mi - 1)) for mi in t.m))
 
 
@@ -198,12 +200,14 @@ def basis_einf(t: CanonicalType) -> DimVector:
     return DimVector(0, 1, tuple(tuple(0 for _ in range(mi - 1)) for mi in t.m))
 
 
+@cache
 def basis_e(t: CanonicalType, i: int, j: int) -> DimVector:
     """Basis vector e_{i,j} for j in [0, m_i - 1].
 
     For interior j this is the unit vector at vertex (i, j); for j = 0 it is
     h - (e_{i,1} + ... + e_{i,m_i-1}), the dimension vector of the remaining
-    simple object of the i-th exceptional tube.
+    simple object of the i-th exceptional tube.  Kept per (t, i, j): the
+    vector is frozen, and a bad index raises, which is never kept.
     """
     mi = t.arm_length(i)
     if not 0 <= j <= mi - 1:

@@ -54,6 +54,42 @@ def test_closed_form_decision_checked_against_stream():
         assert f"zeroset/closed-form-decision[2,2,2,p={p}]" in names
 
 
+@pytest.mark.parametrize("arms, pmax", [((2, 2, 2), 2), ((2, 2, 2), 3), ((2, 2, 2, 2), 3)])
+def test_membership_recheck_reads_the_ends_of_strata(monkeypatch, arms, pmax):
+    # Z_2 of (2,2,2) holds 94 triples, so its head and tail overlap
+    t = CanonicalType(arms)
+    seen = []
+    monkeypatch.setattr(zeroset.ZTriple, "is_member", lambda z, t, p: seen.append(z) or True)
+    checks.zeroset_suite(t, pmax)
+    triples = [z for z, *_ in zeroset.strata(t, pmax)]
+    assert seen == triples[:200] + triples[-200:]
+
+
+def _per_leaf_end_detail(t, pmax, least_xx):
+    # the per-leaf loop the suite ran before it counted Z_p arm by arm
+    for z, th, _, pair, xx in zeroset.strata(t, pmax):
+        if xx < least_xx(th) or pair < 0:
+            return (f"end bound fails at {z.to_dict()}" if xx < least_xx(th)
+                    else f"pairing < 0 at {z.to_dict()}")
+    return ""
+
+
+@pytest.mark.parametrize("raised", [lambda th: 1, lambda th: th == 2],
+                         ids=["everywhere", "at-th-2"])
+def test_end_bound_fallback_names_the_per_leaf_failure(monkeypatch, raised):
+    # a raised bound fails at the first triple, or first at triple 85 of Z_3
+    t = CanonicalType((2, 2, 2))
+
+    def least_xx(th):
+        return t.total - t.n * th + raised(th)
+
+    monkeypatch.setattr(checks, "_below_end", lambda t, th, xx: xx < least_xx(th))
+    want = _per_leaf_end_detail(t, 3, least_xx)
+    assert want.startswith("end bound fails at")
+    [got] = [r for r in checks.zeroset_suite(t, 3) if r.name.startswith("zeroset/end-bound")]
+    assert (got.ok, got.details) == (False, want)
+
+
 def test_oracle_hom_cone_pairing_present_and_passing():
     # rational lambda: a Hom that kept only the numerators of each row
     # agrees with the tube model on tube modules but not on this pairing

@@ -259,6 +259,15 @@ def test_verify_cap_bounds_zero_set_triples(capsys):
     assert code == 2 and err.startswith("error: cap 1 exceeded")
 
 
+def test_verify_cap_boundary_at_level_three(capsys):
+    # Z_3 at (2,2,2) holds 2141 triples
+    code, out, _ = run(capsys, "verify", "--type", "2,2,2", "--pmax", "3", "--cap", "2141")
+    assert code == 0 and "all checks passed" in out
+    code, out, err = run(capsys, "verify", "--type", "2,2,2", "--pmax", "3", "--cap", "2140")
+    assert (code, out) == (2, "")
+    assert err == "error: cap 2140 exceeded enumerating Z_p for 2,2,2, p=3\n"
+
+
 def test_oracle_rational_parameters(capsys):
     code, payload, _ = run_json(capsys, "oracle", "--type", "2,2,3,4",
                                 "--lambdas", "1/3,5/2", "--mu", "7/3", "--full",

@@ -75,6 +75,16 @@ def test_basis_vectors():
         slope_one_vector(T236, (1, 0, 6))
 
 
+def test_basis_vectors_are_shared_and_bad_indices_still_raise():
+    assert basis_h(T236) is basis_h(CanonicalType((2, 3, 6)))
+    assert basis_e(T236, 2, 1) is basis_e(T236, 2, 1) == DimVector(0, 0, ((0,), (1, 0), (0,) * 5))
+    for _ in range(2):  # a raise is never kept as a value
+        with pytest.raises(ValueError, match=r"^index j=3 out of range \[0, 2\] on arm 2$"):
+            basis_e(T236, 2, 3)
+        with pytest.raises(ValueError, match=r"^arm index 4 out of range for 2,3,6$"):
+            basis_e(T236, 4, 0)
+
+
 def test_basis_telescoping():
     for t in (T222, T236, T5):
         for i in range(1, t.n + 1):

@@ -1,3 +1,4 @@
+import inspect
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -294,6 +295,34 @@ def test_keyed_tally_matches_per_triple_loop(arms, pmax):
     want = _per_triple_tally(t, pmax)
     assert {p for _, p in want} == set(range(1, pmax + 1))
     assert zpstream._level_tally(t, pmax, keys) == want
+
+
+@pytest.mark.parametrize("arms, p", [
+    ((2, 2, 2), 1), ((2, 2, 2), 2), ((2, 2, 2), 3), ((2, 2, 2), 4), ((2, 2, 3), 3),
+    ((3, 2, 2), 3), ((2, 3, 3), 3), ((2, 2, 2, 2), 1), ((2, 2, 2, 2), 2), ((2, 2, 2, 2), 3),
+    ((2, 2, 2, 2, 2), 2)])
+def test_arm_count_matches_search(arms, p):
+    # the search is the reference for the arm-by-arm count
+    flat = zpstream._FlatZp(CanonicalType(arms), p)
+    searched = Counter((q, th, sd, pair, xx) for q, _, th, sd, leaves in flat.blocks(10**9)
+                       for *_, pair, xx in leaves)
+    assert flat.key_counts(10**9) == searched
+
+
+def test_arm_count_cap_matches_search_cap():
+    flat = zpstream._FlatZp(T222, 3)
+    assert flat.key_counts(2141).total() == 2141
+    with pytest.raises(EnumerationCapExceeded,
+                       match=r"^cap 2140 exceeded enumerating Z_p for 2,2,2, p=3$"):
+        flat.key_counts(2140)
+
+
+def test_zpstream_binds_no_public_function_of_another_module():
+    # a function bound by name would keep a wrapper rebound in its module
+    foreign = [name for name, obj in vars(zpstream).items()
+               if inspect.isfunction(obj) and obj.__module__ != zpstream.__name__
+               and obj.__module__.startswith("canalg.") and not obj.__name__.startswith("_")]
+    assert foreign == []
 
 
 def test_strata_cap_is_exact():
