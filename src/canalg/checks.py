@@ -267,23 +267,23 @@ def zeroset_suite(t: CanonicalType, pmax: int = 4,
     if t.product > zeroset.BRUTE_PRODUCT_LIMIT or pmax > zeroset.BRUTE_P_LIMIT:
         return out
 
-    # Z_pmax is counted arm by arm, not searched: the tally reads how many
+    # Z_pmax is counted arm by arm, not listed: the tally reads how many
     # triples carry each (q, th, sd, pair, xx).  Only the blocks holding the
-    # first and last 200 triples are searched, built as triples for the
+    # first and last 200 triples are listed, built as triples for the
     # membership recheck, and all blocks only if some key breaks the end bound.
-    from .zpstream import _FlatZp, _level_tally
+    from .zpstream import _ArmZp, _level_tally
 
-    flat = _FlatZp(t, pmax)
-    keys = flat.key_counts(cap)
+    zp = _ArmZp(t, pmax)
+    keys = zp.key_counts(cap)
     end_detail = ""
-    if bad := flat.first_leaf(keys, lambda th, pair, xx: _below_end(t, th, xx) or pair < 0):
+    if bad := zp.first_leaf(keys, lambda th, pair, xx: _below_end(t, th, xx) or pair < 0):
         z, th, _, xx = bad
         end_detail = (f"end bound fails at {z.to_dict()}" if _below_end(t, th, xx)
                       else f"pairing < 0 at {z.to_dict()}")
 
     levels = range(1, pmax + 1)
     tally = _level_tally(t, pmax, keys)
-    ok = all(z.is_member(t, pmax) for z in flat.edge_triples(200))
+    ok = all(z.is_member(t, pmax) for z in zp.edge_triples(200))
     out.append(CheckResult(f"zeroset/membership-recheck[{t},p<={pmax}]", ok))
     out.append(CheckResult(f"zeroset/end-bound[{t},p<={pmax}]", not end_detail, end_detail))
 

@@ -14,7 +14,7 @@ q = p, and on each slice <d',h> = s the least <d',d'> is the geometry slice
 minimum.  The decision is one O(n*p) pass over s in [1, p]; a negative
 minimum is attained by a triple built from the minimizing slice, which is
 rechecked as a member of Z_p.  Only the consumers of all of Z_p enumerate it,
-through the flat search of zpstream.
+through zpstream, which joins one walk per exceptional tube.
 """
 
 from __future__ import annotations
@@ -84,16 +84,17 @@ def strata(t: CanonicalType, p: int,
            cap: int = DEFAULT_ZCAP) -> Iterator[tuple[ZTriple, int, int, int, int]]:
     """Every triple z of Z_p with <d',h>, <d',d'>, <d',dim X> and dim End X.
 
-    Yields (z, th, sd, pair, xx) in enumerate_Zp order: the leaves of the
-    flat search zpstream._FlatZp.blocks, each built as a ZTriple here.  Past
-    ``cap`` triples the stream raises EnumerationCapExceeded.
+    Yields (z, th, sd, pair, xx) in enumerate_Zp order: the leaves of
+    zpstream._ArmZp.blocks, which joins per-tube walks, each built as a
+    ZTriple here.  Past ``cap`` triples the stream raises
+    EnumerationCapExceeded.
     """
-    from .zpstream import _FlatZp  # here, so queries that never enumerate skip it
+    from .zpstream import _ArmZp  # here, so queries that never enumerate skip it
 
-    flat = _FlatZp(t, p)
-    for q, dprime, th, sd, leaves in flat.blocks(cap):
-        for packed, members, pair, xx in leaves:
-            yield flat.triple(q, dprime, packed, members), th, sd, pair, xx
+    zp = _ArmZp(t, p)
+    for q, dprime, th, sd, leaves in zp.blocks(cap):
+        for entries, members, pair, xx in leaves:
+            yield zp.triple(q, dprime, entries, members), th, sd, pair, xx
 
 
 def enumerate_Zp(t: CanonicalType, p: int, cap: int = DEFAULT_ZCAP) -> Iterator[ZTriple]:
@@ -159,13 +160,13 @@ def plus_condition(t: CanonicalType, p: int, z: ZTriple) -> bool:
 
 def components_bruteforce(t: CanonicalType, p: int) -> list[ZTriple]:
     """All stratum labels satisfying the equality conditions, by exhaustion
-    over the flat stream; only the equality strata are built as triples."""
-    from .zpstream import _FlatZp
+    over the leaves of strata; only the equality strata are built as triples."""
+    from .zpstream import _ArmZp
 
-    flat = _FlatZp(t, p)
-    return [flat.triple(q, dprime, packed, members)
-            for q, dprime, th, _, leaves in flat.blocks(DEFAULT_ZCAP)
-            for packed, members, pair, xx in leaves
+    zp = _ArmZp(t, p)
+    return [zp.triple(q, dprime, entries, members)
+            for q, dprime, th, _, leaves in zp.blocks(DEFAULT_ZCAP)
+            for entries, members, pair, xx in leaves
             if _is_equality(t, p, q, th, pair, xx)]
 
 

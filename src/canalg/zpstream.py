@@ -1,17 +1,16 @@
-"""The flat search of Z_p behind zeroset.strata, zeroset.components_bruteforce
-and the verify zero-set suite, and the arm-by-arm count the suite reads.
+"""Z_p behind zeroset.strata, zeroset.components_bruteforce and the verify
+zero-set suite: the search of its triples and the count of their keys, both
+read off one walk per tube.
 
-The completion search runs on ints and builds no object per triple: a
-consumer reads the flat leaves of each (q, d') block and builds ZTriple
-objects only where it hands them out.  Only those consumers import this
-module, inside the functions, so the queries that never enumerate Z_p do not
-compile it.  It calls the public functions of the other modules through
-their modules, so a wrapper rebound there is seen here and undone with it.
+A consumer reads the leaves of each (q, d') block as ints and tuples and
+builds ZTriple objects only where it hands them out.  Only those consumers
+import this module, inside the functions, so the queries that never
+enumerate Z_p do not compile it.  It calls the public functions of the other
+modules through their modules, so a wrapper rebound there is seen here and
+undone with it.
 
-The suite needs only how many triples carry each key
-(q, <d',h>, <d',d'>, <d',dim X>, dim End X), and ``key_counts`` counts them
-without the search.  Fix a block (q, d') and write X = X_1 + ... + X_n with
-X_i the members of X in tube i.
+Fix a block (q, d') and write X = X_1 + ... + X_n with X_i the members of X
+in tube i.
 
 - Hom between different tubes is 0 (Ringel, Tame algebras and integral
   quadratic forms, LNM 1099, 1984, 3.7), so dim End X is the sum of the
@@ -30,22 +29,24 @@ X_i the members of X in tube i.
 - A tube simple (i, j) must be covered when <d', e_{i,j}> = 0, and only a
   tube-i member of X can have it as its top.
 
-So per block and arm a table counts the multisets X_i of that arm's
-candidates that pass the arm's tests, by (r_i, <d', dim X_i>, dim End X_i),
-and the block's count is the convolution of its tables under R <= q - d'_0.
-A table reads only the arm length and the arm's path of q*h - d', which
-holds q - d'_0 and the pairings <d', e_{i,j}> as its rises; the convolution
-reads only the multiset of its tables.  Both are kept per stream, so blocks
-that differ by a shift of d' by h, or by a permutation of equal arms, share
-them.
+So the triples of a block are the choices of one multiset X_i per arm that
+passes the arm's tests, with R <= q - d'_0.  One walk per arm lists those
+multisets with their (r_i, <d', dim X_i>, dim End X_i).  The search
+(``leaves``) joins the arms' lists grouped by r_i under that bound and sorts
+the block's triples by member index; the count (``key_counts``) convolves
+the arms' tallies of (r_i, <d', dim X_i>, dim End X_i) under the same bound.
+A walk reads only the arm and the arm's path of q*h - d', which holds
+q - d'_0 and the pairings <d', e_{i,j}> as its rises; a convolution reads
+only the multiset of its tallies.  Both are kept per stream, so blocks that
+differ by a shift of d' by h, or by a permutation of equal arms, share them.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from functools import cache
 from itertools import pairwise
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 
 from . import cones, forms, tubes, zeroset
 from .cones import EnumerationCapExceeded
@@ -54,150 +55,137 @@ from .tubes import RegularModuleClass, TubeIndec
 from .zeroset import ZTriple, _deficiency, _is_equality, _stratum_codim
 
 
-def _tube_candidates(t: CanonicalType, level: int):
-    """All (indec, dim entries, top bit, simples) with every coordinate <= level.
+def _arm_candidates(t: CanonicalType, i: int, level: int):
+    """The tube-i indecomposables with every coordinate <= level, by socle
+    and quasi-length, each with its dimensions along arm i's path.
 
-    The tube simple e_{i,j} is numbered m_1 + ... + m_{i-1} + j; the top bit
-    is 1 << that number, and ``simples`` lists (number, multiplicity) over
-    the composition factors.
+    Off that path a tube-i module has its count of e_{i,0}, its entry at the
+    source, so the path holds its largest coordinate.
     """
-    base = {}
-    acc = 0
-    for i, mi in enumerate(t.m, start=1):
-        base[i] = acc
-        acc += mi
+    mi = t.m[i - 1]
     out = []
-    for i, mi in enumerate(t.m, start=1):
-        for a in range(mi):
-            for qlen in range(1, mi * (level + 1)):
-                x = TubeIndec(i, a, qlen)
-                dim = tuple(tubes.dim_vector(t, x).entries())
-                if max(dim) > level:
-                    break
-                top = (a + qlen - 1) % mi
-                simples = Counter(base[i] + (a + u) % mi for u in range(qlen))
-                out.append((x, dim, 1 << (base[i] + top), tuple(simples.items())))
+    for a in range(mi):
+        for qlen in range(1, mi * (level + 1)):
+            x = TubeIndec(i, a, qlen)
+            dims = tubes.dim_vector(t, x).chains()[i - 1]
+            if max(dims) > level:
+                break
+            out.append((x, dims))
     return out
 
 
-class _FlatZp:
-    """The Z_p search at level p on flat ints; objects are built only by triple.
+class _ArmZp:
+    """Z_p at level p, searched and counted arm by arm (module docstring);
+    objects are built only by triple.
 
-    A vector is packed into one int with w bits per vertex, in entries order.
-    Entries of d'' and of the tube candidates lie in [0, p] < 2^(w-1), so
-    biasing every field by 2^(w-1) keeps each field of a difference in
-    [1, 2^w): fields never borrow from each other and a field's top (guard)
-    bit is set exactly when it is >= 0.  That makes "candidate fits the
-    budget" one subtraction, and "d'' is in Q" reads the guards of the rises
-    d_b - d_a over the steps a -> b of every arm path of chain_index, which
-    the search carries along with the budget.
+    The candidates of all arms are numbered arm after arm, so X is the tuple
+    of its member numbers in nondecreasing order.
     """
 
     def __init__(self, t: CanonicalType, p: int):
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
-        self.t, self.p, self.w = t, p, p.bit_length() + 1
-        self.steps = [ab for index in t.chain_index for ab in pairwise(index)]
-        self.guard = self.pack([1 << self.w - 1] * t.vertex_count)
-        self.rise_guard = self.pack([1 << self.w - 1] * len(self.steps))
-        self.cands = cands = _tube_candidates(t, p)
-        # d'' and X repeat across the leaves, so each is built once per stream
-        w, mask = self.w, (1 << self.w) - 1
-        self.vector = cache(lambda packed: DimVector.from_entries(
-            t, [packed >> w * i & mask for i in range(t.vertex_count)]))
-        self.xclass = cache(lambda members: RegularModuleClass(
-            tuple(cands[k][0] for k in members)))
-        hom = [[tubes.hom_dim_tube(t, x, y) for y, *_ in cands] for x, *_ in cands]
-        # per candidate: packed dim, packed rises, top bit, Hom(x, y) + Hom(y, x)
-        # over all y, and dim End x
-        self.table = [(self.pack(dim), self.rises(dim), top,
-                       [a + b for a, b in zip(hom[k], (row[k] for row in hom))], hom[k][k])
-                      for k, (_, dim, top, _) in enumerate(cands)]
-        self.sizes = [c[0] for c in self.table]
-        self.suffix_mask = [0] * (len(cands) + 1)
-        for k in range(len(cands) - 1, -1, -1):
-            self.suffix_mask[k] = self.suffix_mask[k + 1] | cands[k][2]
+        self.t, self.p = t, p
+        self.indecs, self.offsets = [], []
         # per arm length, the candidates of one arm of that length as (dims
-        # along the arm path, local top bit, Hom both ways to each candidate of
-        # the arm, dim End); arms of equal length have equal lists
+        # along the arm path, top bit, Hom both ways to each candidate of the
+        # arm, dim End); arms of equal length have equal lists
         self.arm_cands = {}
-        for i, (mi, index) in enumerate(zip(t.m, t.chain_index), start=1):
+        for i, mi in enumerate(t.m, start=1):
+            arm = _arm_candidates(t, i, p)
+            self.offsets.append(len(self.indecs))
+            self.indecs += [x for x, _ in arm]
             if mi not in self.arm_cands:
-                arm = [k for k, (x, *_) in enumerate(cands) if x.arm == i]
+                hom = [[tubes.hom_dim_tube(t, x, y) for y, _ in arm] for x, _ in arm]
                 self.arm_cands[mi] = [
-                    (tuple(cands[k][1][v] for v in index), 1 << tubes.top_index(t, cands[k][0]),
-                     [hom[k][kk] + hom[kk][k] for kk in arm], hom[k][k]) for k in arm]
+                    (dims, 1 << tubes.top_index(t, x),
+                     [a + b for a, b in zip(hom[k], (row[k] for row in hom))], hom[k][k])
+                    for k, (x, dims) in enumerate(arm)]
+        # d'' and X repeat across the leaves, so each is built once per stream
+        self.vector = cache(lambda entries: DimVector.from_entries(t, entries))
+        self.xclass = cache(lambda members: RegularModuleClass(
+            tuple(self.indecs[k] for k in members)))
+        self.arm_lists = {}
         self.arm_tables = {}
         self.block_sums = {}
 
-    def pack(self, values) -> int:
-        return sum(v << self.w * i for i, v in enumerate(values))
-
-    def rises(self, entries) -> int:
-        """The packed d_b - d_a over the arm-path steps a -> b, unbiased."""
-        return self.pack([entries[b] - entries[a] for a, b in self.steps])
-
-    def in_Q(self, packed: int, rise: int) -> bool:
-        """cones.in_Q of the vector with entries in [0, p] packed as ``packed``,
-        given ``rise`` = rise_guard + rises(entries): every arm path is
-        nondecreasing, and d0 != dinf unless the vector is zero."""
-        return rise & self.rise_guard == self.rise_guard and (
-            not packed or (packed ^ packed >> self.w) & (1 << self.w) - 1 != 0)
-
-    def triple(self, q: int, dprime: DimVector, packed: int, members) -> ZTriple:
+    def triple(self, q: int, dprime: DimVector, entries: tuple, members: tuple) -> ZTriple:
         """The ZTriple of one leaf of blocks."""
-        return ZTriple(dprime, self.vector(packed), self.xclass(members), q)
+        return ZTriple(dprime, self.vector(entries), self.xclass(members), q)
 
     def heads(self):
         """(q, d') of every block in enumerate_Zp order: each nonzero d' of
-        enumerate_P(t, q), for q <= p."""
+        enumerate_P(t, q), for q <= p.  Each level reads P afresh: keeping
+        one pass's vectors for the later levels would hold all of P in
+        memory to save only their rebuilding."""
         for q in range(1, self.p + 1):
             for dprime in cones.enumerate_P(self.t, q):
                 if not dprime.is_zero():
                     yield q, dprime
 
-    def leaves(self, q: int, dprime: DimVector) -> list:
-        """The triples of the block (q, d') in enumerate_Zp order, each
-        (packed d'', candidate indices of X, <d',dim X>, dim End X).
+    def _arm_walk(self, mi: int, path: tuple[int, ...]) -> list:
+        """The multisets X_i of the candidates of an arm of length mi that fit
+        ``path``, the arm's path of q*h - d', leave it nondecreasing and
+        cover the arm's simples d' pairs to 0, in nondecreasing index order.
 
-        The pairings of d' with the fitting candidates are taken once per
-        block; pair (linear in X) and xx (bilinear in X, from a Hom table over
-        the candidates) are carried through the search as each summand is
-        added.
+        Each is (candidate indices, r_i, <d', dim X_i>, dim End X_i, interior
+        of the arm path of q*h - d' - v_i), with r_i its count of e_{i,0} and
+        dim X_i = r_i*h + v_i.
         """
-        guard, in_q, table, sizes = self.guard, self.in_Q, self.table, self.sizes
-        suffix_mask = self.suffix_mask
-        entries = [q - b for b in dprime.entries()]
-        budget = self.pack(entries)
-        # <d', e_{i,j}> = d'_{i,j} - d'_{i,j+1}, one entry per tube simple
-        pe = [a - b for chain in dprime.chains() for a, b in pairwise(chain)]
-        needed = sum(1 << s for s, v in enumerate(pe) if v == 0)
-        biased = budget | guard
-        fits = [k for k, size in enumerate(sizes) if biased - size & guard == guard]
-        pairs = [0] * len(table)
-        for k in fits:
-            pairs[k] = sum(c * pe[s] for s, c in self.cands[k][3])
-        leaves = []
+        cands = self.arm_cands[mi]
+        pe = [b - a for a, b in pairwise(path)]  # <d', e_{i,j}> for j in [0, mi)
+        needed = sum(1 << j for j, v in enumerate(pe) if v == 0)
+        pairs = [sum(map(mul, dims, pe)) for dims, *_ in cands]
+        out = []
 
-        def extend(fits, budget, rise, covered, members, pair, xx):
-            if covered & needed == needed and in_q(budget, rise):
-                leaves.append((budget, tuple(members), pair, xx))
-            missing = needed & ~covered
-            for pos, k in enumerate(fits):
-                if missing & ~suffix_mask[k]:
-                    break  # later candidates cannot supply the missing tops
-                size, step, top, both, own = table[k]
-                new_budget = budget - size
+        def extend(start, rest, covered, members, pair, xx):
+            if covered & needed == needed and all(a <= b for a, b in pairwise(rest)):
+                r = path[0] - rest[0]
+                out.append((tuple(members), r, pair, xx, tuple(v + r for v in rest[1:-1])))
+            for k in range(start, len(cands)):
+                dims, top, both, own = cands[k]
+                left = tuple(map(sub, rest, dims))
+                if min(left) < 0:
+                    continue
                 new_xx = xx + own + sum(map(both.__getitem__, members))
-                biased = new_budget | guard
                 members.append(k)
-                extend([kk for kk in fits[pos:] if biased - sizes[kk] & guard == guard],
-                       new_budget, rise - step, covered | top, members, pair + pairs[k],
-                       new_xx)
+                extend(k, left, covered | top, members, pair + pairs[k], new_xx)
                 members.pop()
 
-        extend(fits, budget, self.rise_guard + self.rises(entries), 0, [], 0, 0)
-        return leaves
+        extend(0, path, 0, [], 0, 0)
+        return out
+
+    def _arm_list(self, i: int, path: tuple[int, ...]) -> list:
+        """The walk of arm i + 1 on ``path`` as (r_i, [(member numbers,
+        interior, pair, xx)]) by ascending r_i.  Kept per (arm, path)."""
+        if (i, path) not in self.arm_lists:
+            groups = defaultdict(list)
+            off = self.offsets[i]
+            for members, r, pair, xx, left in self._arm_walk(self.t.m[i], path):
+                groups[r].append((tuple(k + off for k in members), left, pair, xx))
+            self.arm_lists[i, path] = sorted(groups.items())
+        return self.arm_lists[i, path]
+
+    def leaves(self, q: int, dprime: DimVector) -> list:
+        """The triples of the block (q, d') in enumerate_Zp order, each
+        (entries of d'', member numbers of X, <d',dim X>, dim End X).
+
+        The arms' walks are joined arm by arm, a partial choice kept only
+        while R <= q - d'_0, carrying d''+R*h and the sums of pair and xx.
+        Sorting by member numbers gives the order of a search over their
+        nondecreasing sequences, which visits a sequence before its
+        extensions.
+        """
+        bound = q - dprime.d0
+        partial = [(0, (), (q - dprime.d0, q - dprime.dinf), 0, 0)]
+        for i, chain in enumerate(dprime.chains()):
+            groups = self._arm_list(i, tuple(q - v for v in chain))
+            partial = [(big_r + r, members + more, left + inner, pair + pi, xx + xi)
+                       for big_r, members, left, pair, xx in partial
+                       for r, group in groups if big_r + r <= bound
+                       for more, inner, pi, xi in group]
+        return sorted(((tuple(v - big_r for v in left), members, pair, xx)
+                       for big_r, members, left, pair, xx in partial), key=itemgetter(1))
 
     def blocks(self, cap: int):
         """Per block, (q, d', th, sd, leaves) with th = <d',h> = d0 - dinf,
@@ -218,37 +206,11 @@ class _FlatZp:
         return EnumerationCapExceeded(
             f"cap {cap} exceeded enumerating Z_p for {self.t}, p={self.p}")
 
-    def _arm_table(self, mi: int, path: tuple[int, ...]) -> Counter:
-        """Counter of (r, <d', dim X_i>, dim End X_i) over the multisets X_i of
-        the candidates of an arm of length mi that fit ``path``, the arm's path
-        of q*h - d', leave it nondecreasing and cover the arm's simples d'
-        pairs to 0.  r counts the composition factors e_{i,0}."""
-        cands = self.arm_cands[mi]
-        pe = [b - a for a, b in pairwise(path)]  # <d', e_{i,j}> for j in [0, mi)
-        needed = sum(1 << j for j, v in enumerate(pe) if v == 0)
-        pairs = [sum(map(mul, dims, pe)) for dims, *_ in cands]
-        out = Counter()
-
-        def extend(start, rest, covered, members, pair, xx):
-            if covered & needed == needed and all(a <= b for a, b in pairwise(rest)):
-                out[path[0] - rest[0], pair, xx] += 1
-            for k in range(start, len(cands)):
-                dims, top, both, own = cands[k]
-                left = tuple(map(sub, rest, dims))
-                if min(left) < 0:
-                    continue
-                new_xx = xx + own + sum(map(both.__getitem__, members))
-                members.append(k)
-                extend(k, left, covered | top, members, pair + pairs[k], new_xx)
-                members.pop()
-
-        extend(0, path, 0, [], 0, 0)
-        return out
-
     def _block_sum(self, q: int, dprime: DimVector) -> Counter:
         """Counter of (<d', dim X>, dim End X) over the triples of the block
-        (q, d'): the tables of its arms convolved under R <= q - d'_0.  Kept
-        per multiset of (arm length, arm path of q*h - d')."""
+        (q, d'): the tallies of its arms' walks convolved under
+        R <= q - d'_0.  Kept per multiset of (arm length, arm path of
+        q*h - d'); a tally keeps no members."""
         arms = tuple(sorted((mi, tuple(q - v for v in chain))
                             for mi, chain in zip(self.t.m, dprime.chains())))
         if arms in self.block_sums:
@@ -257,7 +219,8 @@ class _FlatZp:
         acc = Counter({(0, 0, 0): 1})
         for arm in arms:
             if arm not in self.arm_tables:
-                self.arm_tables[arm] = self._arm_table(*arm)
+                self.arm_tables[arm] = Counter(
+                    (r, pair, xx) for _, r, pair, xx, _ in self._arm_walk(*arm))
             step = Counter()
             for (r, pair, xx), count in acc.items():
                 for (ri, pi, xi), ci in self.arm_tables[arm].items():
@@ -271,14 +234,19 @@ class _FlatZp:
 
     def key_counts(self, cap: int) -> Counter:
         """How many triples of blocks carry each (q, th, sd, pair, xx), counted
-        arm by arm without the search (module docstring).  Raises
-        EnumerationCapExceeded once the count passes ``cap``, as blocks does."""
+        by convolution without joining the arms.  The count needs no order,
+        so one pass of enumerate_P(t, p) takes each d' at every level
+        q >= d'_0, and th and sd once.  Raises EnumerationCapExceeded once
+        the count passes ``cap``, as blocks does."""
         keys, total = Counter(), 0
-        for q, dprime in self.heads():
+        for dprime in cones.enumerate_P(self.t, self.p):
+            if dprime.is_zero():
+                continue
             th, sd = dprime.d0 - dprime.dinf, forms.euler_quadratic(self.t, dprime)
-            for (pair, xx), count in self._block_sum(q, dprime).items():
-                keys[q, th, sd, pair, xx] += count
-                total += count
+            for q in range(dprime.d0, self.p + 1):
+                for (pair, xx), count in self._block_sum(q, dprime).items():
+                    keys[q, th, sd, pair, xx] += count
+                    total += count
             if total > cap:
                 raise self._over(cap)
         return keys
@@ -286,7 +254,7 @@ class _FlatZp:
     def edge_triples(self, k: int) -> list[ZTriple]:
         """The first k and then the last k triples of blocks, as ZTriples; the
         two overlap when there are fewer than 2k.  Block sizes are counted, so
-        only the blocks at either end are searched."""
+        only the blocks at either end are joined."""
         head, tail, in_tail = [], deque(), 0
         for q, dprime in self.heads():
             if len(head) < k:
@@ -296,20 +264,20 @@ class _FlatZp:
             while in_tail - tail[0][2] >= k:  # the fewest last blocks holding k triples
                 in_tail -= tail.popleft()[2]
         tail = [(q, dprime, leaf) for q, dprime, _ in tail for leaf in self.leaves(q, dprime)]
-        return [self.triple(q, dprime, packed, members)
-                for q, dprime, (packed, members, _, _) in head + tail[-k:]]
+        return [self.triple(q, dprime, entries, members)
+                for q, dprime, (entries, members, _, _) in head + tail[-k:]]
 
     def first_leaf(self, keys: Counter, fails):
         """The first triple of blocks whose fails(th, pair, xx) holds, as
         (ZTriple, th, pair, xx); None when no key of ``keys``, the key_counts
-        of this stream, fails, and then nothing is searched."""
+        of this stream, fails, and then nothing is joined."""
         if not any(fails(th, pair, xx) for _, th, _, pair, xx in keys):
             return None
         for q, dprime in self.heads():
             th = dprime.d0 - dprime.dinf
-            for packed, members, pair, xx in self.leaves(q, dprime):
+            for entries, members, pair, xx in self.leaves(q, dprime):
                 if fails(th, pair, xx):
-                    return self.triple(q, dprime, packed, members), th, pair, xx
+                    return self.triple(q, dprime, entries, members), th, pair, xx
         return None
 
 
