@@ -9,8 +9,10 @@ subcommands, and the property-style portion of the test suite.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from . import geometry, oracle, zeroset
 from .cones import decompose_slope_one, in_P, in_Q
@@ -29,15 +31,27 @@ class CheckResult:
     details: str = ""
 
 
-def _rand_vector(t: CanonicalType, rng: random.Random, lo: int = -12, hi: int = 12) -> DimVector:
+def _first(name: str, failures: Iterator[str]) -> CheckResult:
+    """The check ``name``, failed with the first detail ``failures`` yields;
+    the rest of the generator is never run."""
+    detail = next(failures, "")
+    return CheckResult(name, not detail, detail)
+
+
+_RAND_ENTRY = 12  # _rand_vector's entries lie in [-_RAND_ENTRY, _RAND_ENTRY]
+_RAND_P_TOP = 9  # the largest d0 of _rand_P_vector
+
+
+def _rand_vector(t: CanonicalType, rng: random.Random) -> DimVector:
+    lo, hi = -_RAND_ENTRY, _RAND_ENTRY
     return DimVector(rng.randint(lo, hi), rng.randint(lo, hi),
                      tuple(tuple(rng.randint(lo, hi) for _ in range(mi - 1))
                            for mi in t.m))
 
 
-def _rand_P_vector(t: CanonicalType, rng: random.Random, hi: int = 9) -> DimVector:
-    dinf = rng.randint(0, hi - 1)
-    d0 = rng.randint(dinf + 1, hi)
+def _rand_P_vector(t: CanonicalType, rng: random.Random) -> DimVector:
+    dinf = rng.randint(0, _RAND_P_TOP - 1)
+    d0 = rng.randint(dinf + 1, _RAND_P_TOP)
     arms = []
     for mi in t.m:
         chain = []
@@ -54,13 +68,8 @@ def forms_suite(t: CanonicalType, rng: random.Random, samples: int = 1000) -> li
     h = basis_h(t)
 
     def run(name, prop):
-        for _ in range(samples):
-            d = _rand_vector(t, rng)
-            bad = prop(d)
-            if bad:
-                out.append(CheckResult(f"forms/{name}[{t}]", False, bad))
-                return
-        out.append(CheckResult(f"forms/{name}[{t}]", True))
+        bad = (prop(_rand_vector(t, rng)) for _ in range(samples))
+        out.append(_first(f"forms/{name}[{t}]", filter(None, bad)))
 
     run("pairing-h", lambda d: None if (
         euler_form(t, d, h) == d.d0 - d.dinf
@@ -116,12 +125,8 @@ def cones_suite(t: CanonicalType, rng: random.Random, samples: int = 1000) -> li
     h = basis_h(t)
 
     def run(name, prop):
-        for _ in range(samples):
-            bad = prop()
-            if bad:
-                out.append(CheckResult(f"cones/{name}[{t}]", False, bad))
-                return
-        out.append(CheckResult(f"cones/{name}[{t}]", True))
+        bad = (prop() for _ in range(samples))
+        out.append(_first(f"cones/{name}[{t}]", filter(None, bad)))
 
     def duality():
         d = _rand_P_vector(t, rng)
@@ -209,51 +214,72 @@ def geometry_suite(t: CanonicalType, pmax: int = 4) -> list[CheckResult]:
 
 
 def tubes_suite(t: CanonicalType) -> list[CheckResult]:
-    out = []
-    ok, detail = True, ""
-    for i, mi in enumerate(t.m, start=1):
-        for j in range(mi):
-            for jp in range(mi):
-                want = (1 if j == jp else 0) - (1 if jp == (j - 1) % mi else 0)
-                got = euler_form(t, basis_e(t, i, j), basis_e(t, i, jp))
-                if got != want:
-                    ok, detail = False, f"<e_({i},{j}), e_({i},{jp})> = {got} != {want}"
-    out.append(CheckResult(f"tubes/euler-simples[{t}]", ok, detail))
+    def euler_simples():
+        for i, mi in enumerate(t.m, start=1):
+            for j in range(mi):
+                for jp in range(mi):
+                    want = (1 if j == jp else 0) - (1 if jp == (j - 1) % mi else 0)
+                    got = euler_form(t, basis_e(t, i, j), basis_e(t, i, jp))
+                    if got != want:
+                        yield f"<e_({i},{j}), e_({i},{jp})> = {got} != {want}"
 
-    ok, detail = True, ""
-    for i in range(1, t.n + 1):
-        for ip in range(1, t.n + 1):
-            if i == ip:
-                continue
-            for j in range(t.m[i - 1]):
-                for jp in range(t.m[ip - 1]):
-                    if euler_form(t, basis_e(t, i, j), basis_e(t, ip, jp)) != 0:
-                        ok, detail = False, f"cross-arm pairing nonzero ({i},{j}),({ip},{jp})"
-                    if hom_dim_tube(t, TubeIndec(i, j, 1), TubeIndec(ip, jp, 1)) != 0:
-                        ok, detail = False, f"cross-arm hom nonzero ({i},{j}),({ip},{jp})"
-    out.append(CheckResult(f"tubes/cross-arm[{t}]", ok, detail))
+    def cross_arm():
+        for i in range(1, t.n + 1):
+            for ip in range(1, t.n + 1):
+                if i == ip:
+                    continue
+                for j in range(t.m[i - 1]):
+                    for jp in range(t.m[ip - 1]):
+                        if euler_form(t, basis_e(t, i, j), basis_e(t, ip, jp)) != 0:
+                            yield f"cross-arm pairing nonzero ({i},{j}),({ip},{jp})"
+                        if hom_dim_tube(t, TubeIndec(i, j, 1), TubeIndec(ip, jp, 1)) != 0:
+                            yield f"cross-arm hom nonzero ({i},{j}),({ip},{jp})"
 
-    ok, detail = True, ""
-    h = basis_h(t)
-    for i, mi in enumerate(t.m, start=1):
-        for a in range(mi):
-            for l in range(1, 3 * mi + 1):
-                x = TubeIndec(i, a, l)
-                if end_dim(t, x) != (l - 1) // mi + 1:
-                    ok, detail = False, f"End({x}) formula fails"
-                if dim_vector(t, TubeIndec(i, a, l + mi)) != dim_vector(t, x) + h:
-                    ok, detail = False, f"periodicity fails at {x}"
-                for j in range(mi):
-                    want = top_index(t, x) == j
-                    if hom_to_simple_nonzero(t, RegularModuleClass((x,)), i, j) != want:
-                        ok, detail = False, f"top test fails at {x}, j={j}"
-    out.append(CheckResult(f"tubes/end-and-periodicity[{t}]", ok, detail))
-    return out
+    def end_and_periodicity():
+        h = basis_h(t)
+        for i, mi in enumerate(t.m, start=1):
+            for a in range(mi):
+                for l in range(1, 3 * mi + 1):
+                    x = TubeIndec(i, a, l)
+                    if end_dim(t, x) != (l - 1) // mi + 1:
+                        yield f"End({x}) formula fails"
+                    if dim_vector(t, TubeIndec(i, a, l + mi)) != dim_vector(t, x) + h:
+                        yield f"periodicity fails at {x}"
+                    for j in range(mi):
+                        want = top_index(t, x) == j
+                        if hom_to_simple_nonzero(t, RegularModuleClass((x,)), i, j) != want:
+                            yield f"top test fails at {x}, j={j}"
+
+    return [_first(f"tubes/euler-simples[{t}]", euler_simples()),
+            _first(f"tubes/cross-arm[{t}]", cross_arm()),
+            _first(f"tubes/end-and-periodicity[{t}]", end_and_periodicity())]
 
 
 def _below_end(t: CanonicalType, th: int, xx: int) -> bool:
     """Whether dim End X = xx is below |m| - n<d',h> for th = <d',h>."""
     return xx < t.total - t.n * th
+
+
+def _level_tally(t: CanonicalType, pmax: int, keys: Counter) -> Counter:
+    """Per level p <= pmax, how many triples counted in ``keys`` by their
+    (q, th, sd, pair, xx) break the slope-one deficiency, are negative, plus
+    or flat, or split plus from flat.  The conditions read only the key, so
+    each is taken once per key and weighed by its count."""
+    a_ph = {p: a_dim(t, p * basis_h(t)) for p in range(1, pmax + 1)}
+    tgt = {p: zeroset.target_zero_dim(t, p) for p in range(1, pmax + 1)}
+    tally = Counter()
+    for (q, th, sd, pair, xx), count in keys.items():
+        for p in range(q, pmax + 1):
+            d = zeroset._deficiency(t, p, q, th, sd)
+            plus = zeroset._is_equality(t, p, q, th, pair, xx)
+            flat = d == 0 and a_ph[p] - zeroset._stratum_codim(
+                p, q, th, sd, pair, xx) == tgt[p]
+            tally["slope", p] += count * (th == 1 and d != p - q)
+            tally["negative", p] += count * (d < 0)
+            tally["plus", p] += count * plus
+            tally["flat", p] += count * flat
+            tally["split", p] += count * (plus != flat)
+    return tally
 
 
 def zeroset_suite(t: CanonicalType, pmax: int = 4,
@@ -269,23 +295,26 @@ def zeroset_suite(t: CanonicalType, pmax: int = 4,
 
     # Z_pmax is counted arm by arm, not listed: the tally reads how many
     # triples carry each (q, th, sd, pair, xx).  Only the blocks holding the
-    # first and last 200 triples are listed, built as triples for the
-    # membership recheck, and all blocks only if some key breaks the end bound.
-    from .zpstream import _ArmZp, _level_tally
+    # first and last 200 triples are listed for the membership recheck, and
+    # all of strata only to name the first triple that breaks the end bound.
+    from .zpstream import _ArmZp
 
     zp = _ArmZp(t, pmax)
     keys = zp.key_counts(cap)
-    end_detail = ""
-    if bad := zp.first_leaf(keys, lambda th, pair, xx: _below_end(t, th, xx) or pair < 0):
-        z, th, _, xx = bad
-        end_detail = (f"end bound fails at {z.to_dict()}" if _below_end(t, th, xx)
-                      else f"pairing < 0 at {z.to_dict()}")
+
+    def end_failures():
+        if any(_below_end(t, th, xx) or pair < 0 for _, th, _, pair, xx in keys):
+            for z, th, _, pair, xx in zeroset.strata(t, pmax, cap):
+                if _below_end(t, th, xx):
+                    yield f"end bound fails at {z.to_dict()}"
+                elif pair < 0:
+                    yield f"pairing < 0 at {z.to_dict()}"
 
     levels = range(1, pmax + 1)
     tally = _level_tally(t, pmax, keys)
-    ok = all(z.is_member(t, pmax) for z in zp.edge_triples(200))
+    ok = all(zeroset.ZTriple(*z).is_member(t, pmax) for z in zp.edge_triples(200))
     out.append(CheckResult(f"zeroset/membership-recheck[{t},p<={pmax}]", ok))
-    out.append(CheckResult(f"zeroset/end-bound[{t},p<={pmax}]", not end_detail, end_detail))
+    out.append(_first(f"zeroset/end-bound[{t},p<={pmax}]", end_failures()))
 
     for p in levels:
         out.append(CheckResult(f"zeroset/slope-one-diff[{t},p={p}]", not tally["slope", p]))
@@ -330,24 +359,19 @@ def oracle_suite(t: CanonicalType, lam: oracle.LambdaChoice | None = None,
         all(oracle.check_relations(t, lam, rep) for _, rep in homog)
     out.append(CheckResult(f"oracle/relations[{t}]", ok))
 
-    ok, detail = True, ""
-    for x, rep in tube_mods:
-        if dim_vector(t, x) != rep.dim:
-            ok, detail = False, f"dim mismatch for {x}"
-    out.append(CheckResult(f"oracle/dims[{t}]", ok, detail))
+    dims = (f"dim mismatch for {x}" for x, rep in tube_mods if dim_vector(t, x) != rep.dim)
+    out.append(_first(f"oracle/dims[{t}]", dims))
 
     if full:
-        ok, detail = True, ""
-        for x, mrep in tube_mods:
-            for y, nrep in tube_mods:
-                want = hom_dim_tube(t, x, y)
-                got = oracle.hom_dim_linear(t, lam, mrep, nrep)
-                if got != want:
-                    ok, detail = False, f"hom({x},{y}) = {got}, tube model {want}"
-                    break
-            if not ok:
-                break
-        out.append(CheckResult(f"oracle/hom-vs-tubes[{t}]", ok, detail))
+        def hom_vs_tubes():
+            for x, mrep in tube_mods:
+                for y, nrep in tube_mods:
+                    want = hom_dim_tube(t, x, y)
+                    got = oracle.hom_dim_linear(t, lam, mrep, nrep)
+                    if got != want:
+                        yield f"hom({x},{y}) = {got}, tube model {want}"
+
+        out.append(_first(f"oracle/hom-vs-tubes[{t}]", hom_vs_tubes()))
 
         # A generic point P of the cone-P vector h + e_0 lies in the class P
         # of the module category, and every tube module X is regular.  Modules
@@ -359,25 +383,27 @@ def oracle_suite(t: CanonicalType, lam: oracle.LambdaChoice | None = None,
         # integers with fractions, so a Hom that drops row denominators fails.
         d = basis_h(t) + basis_e0(t)
         prep = oracle.random_cone_point(t, lam, d, random.Random(0))
-        ok, detail = True, ""
-        for x, xrep in tube_mods:
-            got = oracle.hom_dim_linear(t, lam, prep, xrep)
-            want = euler_form(t, d, dim_vector(t, x))
-            if got != want:
-                ok, detail = False, f"hom(P, {x}) = {got}, <d, dim X> = {want}"
-                break
-        out.append(CheckResult(f"oracle/hom-cone-pairing[{t}]", ok, detail))
 
-        ok, detail = True, ""
-        for s, hrep in homog:
+        def hom_cone_pairing():
             for x, xrep in tube_mods:
-                if oracle.hom_dim_linear(t, lam, hrep, xrep) != 0 or \
-                        oracle.hom_dim_linear(t, lam, xrep, hrep) != 0:
-                    ok, detail = False, f"homogeneous size {s} not orthogonal to {x}"
-            for s2, hrep2 in homog:
-                if oracle.hom_dim_linear(t, lam, hrep, hrep2) != min(s, s2):
-                    ok, detail = False, f"hom(J{s}, J{s2}) != min"
-        out.append(CheckResult(f"oracle/homogeneous[{t}]", ok, detail))
+                got = oracle.hom_dim_linear(t, lam, prep, xrep)
+                want = euler_form(t, d, dim_vector(t, x))
+                if got != want:
+                    yield f"hom(P, {x}) = {got}, <d, dim X> = {want}"
+
+        out.append(_first(f"oracle/hom-cone-pairing[{t}]", hom_cone_pairing()))
+
+        def homogeneous():
+            for s, hrep in homog:
+                for x, xrep in tube_mods:
+                    if oracle.hom_dim_linear(t, lam, hrep, xrep) != 0 or \
+                            oracle.hom_dim_linear(t, lam, xrep, hrep) != 0:
+                        yield f"homogeneous size {s} not orthogonal to {x}"
+                for s2, hrep2 in homog:
+                    if oracle.hom_dim_linear(t, lam, hrep, hrep2) != min(s, s2):
+                        yield f"hom(J{s}, J{s2}) != min"
+
+        out.append(_first(f"oracle/homogeneous[{t}]", homogeneous()))
 
         if len(tube_mods) >= 3:
             a, b, c = tube_mods[0][1], tube_mods[1][1], tube_mods[2][1]

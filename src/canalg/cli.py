@@ -190,9 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cap", type=int, default=DEFAULT_ZCAP,
                     help="most triples of Z_pmax the zero-set suite reads; exceeding "
                          "it is an error")
-    sp.add_argument("--pmax", type=int, default=4)
+    sp.add_argument("--pmax", type=int, default=4,
+                    help="highest level checked; for arm products up to 20 the zero-set "
+                         "suite counts Z_p at p = min(pmax, 6), which grows about tenfold "
+                         "per level (2,2,2: 27,137 triples at 4, 243,566 at 5)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--samples", type=int, default=300)
+    sp.add_argument("--samples", type=int, default=300,
+                    help="vectors drawn per forms and cones check; time is linear in it")
 
     sp = sub.add_parser("oracle", help="matrix-level validation of the tube model")
     common(sp)
@@ -201,7 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu", default=None,
                     help="homogeneous parameter (rational, off the tube points)")
     sp.add_argument("--sizes", type=int, default=3,
-                    help="largest homogeneous quasi-length to build")
+                    help="largest homogeneous quasi-length to build; the full battery "
+                         "solves an exact Hom system per pair of them, with unknowns "
+                         "growing as the product of their sizes")
     sp.add_argument("--full", action="store_true",
                     help="force the full pairwise Hom battery")
     return parser

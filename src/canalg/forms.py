@@ -24,7 +24,7 @@ from functools import cache, cached_property
 from itertools import pairwise
 from math import lcm, prod
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,13 @@ class DimVector:
         object.__setattr__(self, "dinf", int(self.dinf))
 
     @classmethod
-    def from_entries(cls, t: CanonicalType, flat: Sequence[int]) -> "DimVector":
-        """Inverse of ``entries``: the vector of type t with these coordinates."""
+    def from_entries(cls, t: CanonicalType, flat: Iterable[int]) -> "DimVector":
+        """Inverse of ``entries``: the vector of type t with these coordinates.
+        Raises ValueError unless there is one per vertex of t."""
+        flat = tuple(flat)
+        if len(flat) != t.vertex_count:
+            raise ValueError(f"{len(flat)} entries do not fit type {t}, "
+                             f"which has {t.vertex_count} vertices")
         # each arm's interior indices are consecutive
         return cls(flat[0], flat[1], [flat[index[1]:index[-2] + 1] for index in t.chain_index])
 
@@ -155,13 +160,13 @@ class DimVector:
 
     def __add__(self, other: "DimVector") -> "DimVector":
         return DimVector(self.d0 + other.d0, self.dinf + other.dinf,
-                         tuple(tuple(x + y for x, y in zip(a, b))
-                               for a, b in zip(self.arms, other.arms)))
+                         tuple(tuple(x + y for x, y in zip(a, b, strict=True))
+                               for a, b in zip(self.arms, other.arms, strict=True)))
 
     def __sub__(self, other: "DimVector") -> "DimVector":
         return DimVector(self.d0 - other.d0, self.dinf - other.dinf,
-                         tuple(tuple(x - y for x, y in zip(a, b))
-                               for a, b in zip(self.arms, other.arms)))
+                         tuple(tuple(x - y for x, y in zip(a, b, strict=True))
+                               for a, b in zip(self.arms, other.arms, strict=True)))
 
     def __mul__(self, c: int) -> "DimVector":
         return DimVector(c * self.d0, c * self.dinf,

@@ -94,7 +94,7 @@ def strata(t: CanonicalType, p: int,
     zp = _ArmZp(t, p)
     for q, dprime, th, sd, leaves in zp.blocks(cap):
         for entries, members, pair, xx in leaves:
-            yield zp.triple(q, dprime, entries, members), th, sd, pair, xx
+            yield ZTriple(*zp.triple(q, dprime, entries, members)), th, sd, pair, xx
 
 
 def enumerate_Zp(t: CanonicalType, p: int, cap: int = DEFAULT_ZCAP) -> Iterator[ZTriple]:
@@ -164,7 +164,7 @@ def components_bruteforce(t: CanonicalType, p: int) -> list[ZTriple]:
     from .zpstream import _ArmZp
 
     zp = _ArmZp(t, p)
-    return [zp.triple(q, dprime, entries, members)
+    return [ZTriple(*zp.triple(q, dprime, entries, members))
             for q, dprime, th, _, leaves in zp.blocks(DEFAULT_ZCAP)
             for entries, members, pair, xx in leaves
             if _is_equality(t, p, q, th, pair, xx)]

@@ -1,9 +1,11 @@
-"""Z_p behind zeroset.strata, zeroset.components_bruteforce and the verify
-zero-set suite: the search of its triples and the count of their keys, both
-read off one walk per tube.
+"""The model of Z_p and nothing else: the search of its triples and the count
+of their keys, both read off one walk per tube.
 
-A consumer reads the leaves of each (q, d') block as ints and tuples and
-builds ZTriple objects only where it hands them out.  Only those consumers
+Its consumers, zeroset.strata, zeroset.components_bruteforce and the verify
+zero-set suite in checks, keep what they conclude from Z_p; it imports
+nothing of zeroset.  A consumer reads the leaves of each (q, d') block as
+ints and tuples, and ``triple`` gives a leaf as (d', d'', X, q), which it
+wraps as a zeroset.ZTriple where it hands it out.  Only those consumers
 import this module, inside the functions, so the queries that never
 enumerate Z_p do not compile it.  It calls the public functions of the other
 modules through their modules, so a wrapper rebound there is seen here and
@@ -48,11 +50,10 @@ from functools import cache
 from itertools import pairwise
 from operator import itemgetter, mul, sub
 
-from . import cones, forms, tubes, zeroset
+from . import cones, forms, tubes
 from .cones import EnumerationCapExceeded
 from .forms import CanonicalType, DimVector
 from .tubes import RegularModuleClass, TubeIndec
-from .zeroset import ZTriple, _deficiency, _is_equality, _stratum_codim
 
 
 def _arm_candidates(t: CanonicalType, i: int, level: int):
@@ -60,18 +61,14 @@ def _arm_candidates(t: CanonicalType, i: int, level: int):
     and quasi-length, each with its dimensions along arm i's path.
 
     Off that path a tube-i module has its count of e_{i,0}, its entry at the
-    source, so the path holds its largest coordinate.
+    source, so the path holds its largest coordinate.  Along the path the
+    coordinates count the composition factors by residue mod m_i, so the
+    largest is ceil(qlen/m_i), which fits ``level`` exactly when
+    qlen <= m_i*level.
     """
     mi = t.m[i - 1]
-    out = []
-    for a in range(mi):
-        for qlen in range(1, mi * (level + 1)):
-            x = TubeIndec(i, a, qlen)
-            dims = tubes.dim_vector(t, x).chains()[i - 1]
-            if max(dims) > level:
-                break
-            out.append((x, dims))
-    return out
+    xs = [TubeIndec(i, a, qlen) for a in range(mi) for qlen in range(1, mi * level + 1)]
+    return [(x, tubes.dim_vector(t, x).chains()[i - 1]) for x in xs]
 
 
 class _ArmZp:
@@ -109,9 +106,9 @@ class _ArmZp:
         self.arm_tables = {}
         self.block_sums = {}
 
-    def triple(self, q: int, dprime: DimVector, entries: tuple, members: tuple) -> ZTriple:
-        """The ZTriple of one leaf of blocks."""
-        return ZTriple(dprime, self.vector(entries), self.xclass(members), q)
+    def triple(self, q: int, dprime: DimVector, entries: tuple, members: tuple) -> tuple:
+        """One leaf of blocks as (d', d'', X, q), in zeroset.ZTriple's order."""
+        return dprime, self.vector(entries), self.xclass(members), q
 
     def heads(self):
         """(q, d') of every block in enumerate_Zp order: each nonzero d' of
@@ -251,10 +248,10 @@ class _ArmZp:
                 raise self._over(cap)
         return keys
 
-    def edge_triples(self, k: int) -> list[ZTriple]:
-        """The first k and then the last k triples of blocks, as ZTriples; the
-        two overlap when there are fewer than 2k.  Block sizes are counted, so
-        only the blocks at either end are joined."""
+    def edge_triples(self, k: int) -> list[tuple]:
+        """The first k and then the last k triples of blocks, as ``triple``
+        gives them; the two overlap when there are fewer than 2k.  Block sizes
+        are counted, so only the blocks at either end are joined."""
         head, tail, in_tail = [], deque(), 0
         for q, dprime in self.heads():
             if len(head) < k:
@@ -266,38 +263,3 @@ class _ArmZp:
         tail = [(q, dprime, leaf) for q, dprime, _ in tail for leaf in self.leaves(q, dprime)]
         return [self.triple(q, dprime, entries, members)
                 for q, dprime, (entries, members, _, _) in head + tail[-k:]]
-
-    def first_leaf(self, keys: Counter, fails):
-        """The first triple of blocks whose fails(th, pair, xx) holds, as
-        (ZTriple, th, pair, xx); None when no key of ``keys``, the key_counts
-        of this stream, fails, and then nothing is joined."""
-        if not any(fails(th, pair, xx) for _, th, _, pair, xx in keys):
-            return None
-        for q, dprime in self.heads():
-            th = dprime.d0 - dprime.dinf
-            for entries, members, pair, xx in self.leaves(q, dprime):
-                if fails(th, pair, xx):
-                    return self.triple(q, dprime, entries, members), th, pair, xx
-        return None
-
-
-def _level_tally(t: CanonicalType, pmax: int, keys: Counter) -> Counter:
-    """Per level p <= pmax, how many triples counted in ``keys`` by their
-    (q, th, sd, pair, xx) break the slope-one deficiency, are negative, plus
-    or flat, or split plus from flat.  The conditions read only the key, so
-    each is taken once per key and weighed by its count."""
-    a_ph = {p: forms.a_dim(t, p * forms.basis_h(t)) for p in range(1, pmax + 1)}
-    tgt = {p: zeroset.target_zero_dim(t, p) for p in range(1, pmax + 1)}
-    tally = Counter()
-    for (q, th, sd, pair, xx), count in keys.items():
-        for p in range(q, pmax + 1):
-            d = _deficiency(t, p, q, th, sd)
-            plus = _is_equality(t, p, q, th, pair, xx)
-            flat = d == 0 and a_ph[p] - _stratum_codim(
-                p, q, th, sd, pair, xx) == tgt[p]
-            tally["slope", p] += count * (th == 1 and d != p - q)
-            tally["negative", p] += count * (d < 0)
-            tally["plus", p] += count * plus
-            tally["flat", p] += count * flat
-            tally["split", p] += count * (plus != flat)
-    return tally

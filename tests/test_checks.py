@@ -90,6 +90,18 @@ def test_end_bound_fallback_names_the_per_leaf_failure(monkeypatch, raised):
     assert (got.ok, got.details) == (False, want)
 
 
+def test_checks_report_their_first_counterexample(monkeypatch):
+    # End is wrong at every module, so the first one the suite visits is named
+    t = CanonicalType((2, 2, 2))
+    monkeypatch.setattr(checks, "end_dim", lambda t, x: -1)
+    got = {r.name: r for r in checks.tubes_suite(t)}[f"tubes/end-and-periodicity[{t}]"]
+    assert (got.ok, got.details) == (False, "End(1:0:1) formula fails")
+    monkeypatch.setattr(oracle, "hom_dim_linear", lambda t, lam, m, n: -1)
+    got = {r.name: r for r in checks.oracle_suite(t, sizes=(1, 2), full=True)}
+    assert got[f"oracle/homogeneous[{t}]"].details == "homogeneous size 1 not orthogonal to 1:0:1"
+    assert got[f"oracle/hom-vs-tubes[{t}]"].details == "hom(1:0:1,1:0:1) = -1, tube model 1"
+
+
 def test_oracle_hom_cone_pairing_present_and_passing():
     # rational lambda: a Hom that kept only the numerators of each row
     # agrees with the tube model on tube modules but not on this pairing

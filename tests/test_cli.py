@@ -1,3 +1,5 @@
+import ast
+import graphlib
 import json
 import os
 import subprocess
@@ -323,6 +325,32 @@ def test_bare_import_loads_no_submodule():
     out = fresh_python("import sys, canalg\n"
                        "print(*sorted(m for m in sys.modules if m.startswith('canalg.')))")
     assert out.split() == []
+
+
+def _package_imports() -> dict[str, set[str]]:
+    """Per module of canalg, the canalg modules it imports with ``from . import
+    x`` or ``from .x import ...``, at module level or inside functions."""
+    graph = {}
+    for path in (SRC / "canalg").glob("*.py"):
+        graph[path.stem] = {
+            module for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for module in ([node.module] if node.module else [a.name for a in node.names])}
+    return graph
+
+
+def test_package_import_graph_has_no_cycle():
+    graph = _package_imports()
+    assert graph["cli"] >= {"checks", "geometry", "zeroset"}  # function-level imports count
+    assert "zeroset" not in graph["zpstream"]
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+
+
+def test_zpstream_loads_without_zeroset():
+    out = fresh_python("import sys, canalg.zpstream\n"
+                       "print(*sorted(m for m in sys.modules if m.startswith('canalg.')))")
+    assert "canalg.zeroset" not in out.split()
+    assert "canalg.zpstream" in out.split()
 
 
 # The package surface as the eager imports exported it: owning module -> names.

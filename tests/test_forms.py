@@ -58,6 +58,25 @@ def test_euler_form_shape_mismatch():
         euler_form(T236, basis_h(T222), basis_h(T222))
 
 
+def test_from_entries_takes_one_entry_per_vertex():
+    d = DimVector(5, 1, ((2,), (3,), (4,)))
+    assert DimVector.from_entries(T222, d.entries()) == d
+    for flat in ((1, 2, 3), (5, 1, 2, 3, 4, 0)):
+        with pytest.raises(ValueError, match="do not fit type 2,2,2"):
+            DimVector.from_entries(T222, flat)
+
+
+def test_sum_and_difference_refuse_other_shapes():
+    # against (2,3,6) an arm is longer, against (5,5,5,5,5) there are more arms
+    a = basis_h(T222)
+    for b in (basis_h(T236), basis_h(T5)):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError):
+                x + y
+            with pytest.raises(ValueError):
+                x - y
+
+
 def test_quadratic_via_decomposition_values():
     assert quadratic_via_decomposition(T236, basis_h(T236)) == 0
     assert quadratic_via_decomposition(T237, WITNESS_237) == -21

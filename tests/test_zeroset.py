@@ -8,7 +8,7 @@ from math import prod
 
 import pytest
 
-from canalg import geometry, zeroset, zpstream
+from canalg import checks, geometry, zeroset, zpstream
 from canalg.cones import EnumerationCapExceeded, decompose_slope_one, enumerate_P, in_Q
 from canalg.forms import (CanonicalType, DimVector, a_dim, basis_e, basis_e0, basis_einf,
                           basis_h, euler_form, euler_quadratic)
@@ -301,8 +301,8 @@ def test_strata_matches_literal_Zp(arms, p):
     ((2, 2, 2, 2), 2, 295, "7827bacb13d2eb6b188b9e62693a32ffd206699f64ae95a4c555d1762f81dc27"),
     ((2, 3, 3), 2, 648, "dbaa4b1a2be12750530c244cfe3464ddc7891d78299d55ee617f1bb56bacf228")])
 def test_strata_stream_is_pinned(arms, p, size, digest):
-    # the order of strata is part of its contract: edge_triples and
-    # first_leaf, and so the details verify prints, read it
+    # the order of strata is part of its contract: edge_triples and the
+    # end-bound check, and so the details verify prints, read it
     h, count = hashlib.sha256(), 0
     for z, *keys in strata(CanonicalType(arms), p):
         h.update(json.dumps([z.to_dict(), *keys]).encode() + b"\n")
@@ -338,7 +338,7 @@ def test_keyed_tally_matches_per_triple_loop(arms, pmax):
                    for *_, pair, xx in leaves)
     want = _per_triple_tally(t, pmax)
     assert {p for _, p in want} == set(range(1, pmax + 1))
-    assert zpstream._level_tally(t, pmax, keys) == want
+    assert checks._level_tally(t, pmax, keys) == want
 
 
 @pytest.mark.parametrize("arms, p", [
