@@ -23,16 +23,20 @@ class EnumerationCapExceeded(RuntimeError):
 
 def in_P(t: CanonicalType, d: DimVector) -> bool:
     _check_shape(t, d)
-    if not d.d0 > d.dinf >= 0:
+    d0, dinf = d.d0, d.dinf
+    if not d0 > dinf >= 0:
         return d.is_zero()
-    return all(a >= b for chain in d.chains() for a, b in pairwise(chain))
+    return all(d0 >= a[0] and all(x >= y for x, y in pairwise(a)) and a[-1] >= dinf
+               for a in d.arms)
 
 
 def in_Q(t: CanonicalType, d: DimVector) -> bool:
     _check_shape(t, d)
-    if not 0 <= d.d0 < d.dinf:
+    d0, dinf = d.d0, d.dinf
+    if not 0 <= d0 < dinf:
         return d.is_zero()
-    return all(a <= b for chain in d.chains() for a, b in pairwise(chain))
+    return all(d0 <= a[0] and all(x <= y for x, y in pairwise(a)) and a[-1] <= dinf
+               for a in d.arms)
 
 
 def enumerate_P(t: CanonicalType, p: int, cap: int = DEFAULT_CAP) -> Iterator[DimVector]:

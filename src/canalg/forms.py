@@ -13,7 +13,10 @@ This module alone owns the vertex layout.  Each arm is read as its vertex path
 ``0, (i,1), ..., (i,m_i-1), inf``: ``DimVector.chains`` gives the values along
 it, ``entries`` and ``DimVector.from_entries`` are the flat order and its
 inverse, and ``CanonicalType.chain_index`` says which flat index each vertex
-of a path has.  Every other module reads vectors through these.
+of a path has.  Every other module reads vectors through these.  The hot
+readers (the form, the shape test, ``DimVector.entry`` and the cone tests
+``cones.in_P``/``in_Q``) read the stored ``d0``, ``dinf`` and ``arms`` instead,
+building no per-arm tuple; ``chains`` is the view for everything else.
 """
 
 from __future__ import annotations
@@ -53,24 +56,24 @@ class CanonicalType:
     def n(self) -> int:
         return len(self.m)
 
-    @property
+    @cached_property
     def total(self) -> int:
         """Sum of the arm lengths |m|."""
         return sum(self.m)
 
-    @property
+    @cached_property
     def lcm(self) -> int:
         return lcm(*self.m)
 
-    @property
+    @cached_property
     def product(self) -> int:
         return prod(self.m)
 
-    @property
+    @cached_property
     def sum_reciprocals(self) -> Fraction:
         return sum((Fraction(1, mi) for mi in self.m), Fraction(0))
 
-    @property
+    @cached_property
     def delta(self) -> Fraction:
         """The invariant (n - 2 - sum 1/m_i) / 2 controlling representation type."""
         return Fraction(self.n - 2, 2) - self.sum_reciprocals / 2
@@ -88,6 +91,12 @@ class CanonicalType:
             out.append((0, *range(pos, pos + mi - 1), 1))
             pos += mi - 1
         return tuple(out)
+
+    @cached_property
+    def shape(self) -> tuple[int, ...]:
+        """The interior length m_i - 1 of each arm: ``len`` of each of a
+        fitting vector's ``arms``."""
+        return tuple(mi - 1 for mi in self.m)
 
     def arm_length(self, i: int) -> int:
         if not 1 <= i <= self.n:
@@ -112,7 +121,7 @@ class DimVector:
     arms: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arms", tuple(tuple(int(x) for x in a) for a in self.arms))
+        object.__setattr__(self, "arms", tuple(tuple(map(int, a)) for a in self.arms))
         object.__setattr__(self, "d0", int(self.d0))
         object.__setattr__(self, "dinf", int(self.dinf))
 
@@ -128,7 +137,8 @@ class DimVector:
         return cls(flat[0], flat[1], [flat[index[1]:index[-2] + 1] for index in t.chain_index])
 
     def chains(self) -> list[tuple[int, ...]]:
-        """Each arm as the values along its vertex path, from d0 to dinf."""
+        """Each arm as the values along its vertex path, from d0 to dinf.
+        A view built on each call, for readers off the hot path."""
         d0, dinf = self.d0, self.dinf
         return [(d0, *arm, dinf) for arm in self.arms]
 
@@ -136,7 +146,10 @@ class DimVector:
         """Coordinate at arm vertex (i, j), i in [1, n] and j in [0, m_i]."""
         if not 1 <= i <= len(self.arms) or not 0 <= j <= len(self.arms[i - 1]) + 1:
             raise ValueError(f"vertex ({i},{j}) out of range")
-        return self.chains()[i - 1][j]
+        arm = self.arms[i - 1]
+        if j == 0:
+            return self.d0
+        return self.dinf if j == len(arm) + 1 else arm[j - 1]
 
     def entries(self) -> Iterator[int]:
         """All coordinates, one per vertex: d0, dinf, then interior values."""
@@ -146,8 +159,7 @@ class DimVector:
             yield from arm
 
     def matches(self, t: CanonicalType) -> bool:
-        return (len(self.arms) == t.n
-                and all(len(a) == mi - 1 for a, mi in zip(self.arms, t.m)))
+        return tuple(map(len, self.arms)) == t.shape
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries())
@@ -241,11 +253,15 @@ def slope_one_vector(t: CanonicalType, ls: Sequence[int]) -> DimVector:
 def euler_form(t: CanonicalType, d1: DimVector, d2: DimVector) -> int:
     """The Ringel bilinear form <d1, d2>, exact over the integers."""
     _check_shape(t, d1, d2)
-    total = d1.d0 * d2.d0 + d1.dinf * d2.dinf + (t.n - 2) * d1.dinf * d2.d0
+    y0, xinf = d2.d0, d1.dinf
+    total = d1.d0 * y0 + xinf * d2.dinf + (t.n - 2) * xinf * y0
     # per arm: the interior products d1_{i,j} * d2_{i,j}, less
-    # d1_{i,j} * d2_{i,j-1} for each arrow (i, j), j in [1, m_i]
-    for a, b in zip(d1.chains(), d2.chains()):
-        total += sum(map(mul, a[1:-1], b[1:-1])) - sum(map(mul, a[1:], b))
+    # d1_{i,j} * d2_{i,j-1} for each arrow (i, j), j in [1, m_i]; the arrows
+    # (i, 1) and (i, m_i) reach d2's d0 and d1's dinf (interior arms are
+    # never empty, as m_i >= 2)
+    for a, b in zip(d1.arms, d2.arms):
+        total += (sum(map(mul, a, b)) - sum(map(mul, a[1:], b))
+                  - a[0] * y0 - xinf * b[-1])
     return total
 
 
@@ -280,9 +296,9 @@ def quadratic_lower_bound(t: CanonicalType, d: DimVector) -> tuple[Fraction, boo
     s = d.d0 - d.dinf
     bound = -t.delta * s * s
     tight = all(
-        Fraction((mi - j) * d.d0 + j * d.dinf, mi) == chain[j]
-        for mi, chain in zip(t.m, d.chains())
-        for j in range(1, mi))
+        (mi - j) * d.d0 + j * d.dinf == mi * x
+        for mi, arm in zip(t.m, d.arms)
+        for j, x in enumerate(arm, start=1))
     return bound, tight
 
 

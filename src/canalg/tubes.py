@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .forms import CanonicalType, DimVector, basis_e, zero_vector
+from .forms import CanonicalType, DimVector
 
 
 @dataclass(frozen=True)
@@ -98,14 +98,24 @@ def top_index(t: CanonicalType, x: TubeIndec) -> int:
 
 
 def dim_vector(t: CanonicalType, xs: ClassLike) -> DimVector:
-    """Sum of e_{i,j} over all composition factors of all members."""
-    total = zero_vector(t)
+    """Sum of e_{i,j} over all composition factors of all members.
+
+    A member (i, a, l) with l = q*m_i + r has c_j = q + [(j - a) mod m_i < r]
+    factors of index j.  Its vector is c_0 at 0, at inf and at every vertex
+    off arm i (from e_{i,0}), and c_j at (i, j).
+    """
+    ends = 0  # the sum of the members' c_0
+    arms = [[0] * (mi - 1) for mi in t.m]  # at (i, j), the sum of c_j - c_0
     for x in _members(xs):
         x.check_against(t)
         mi = t.arm_length(x.arm)
-        for u in range(x.qlen):
-            total = total + basis_e(t, x.arm, (x.socle + u) % mi)
-    return total
+        q, r = divmod(x.qlen, mi)
+        c0 = q + ((-x.socle) % mi < r)
+        ends += c0
+        arm = arms[x.arm - 1]
+        for j in range(1, mi):
+            arm[j - 1] += q + ((j - x.socle) % mi < r) - c0
+    return DimVector(ends, ends, tuple(tuple(ends + v for v in arm) for arm in arms))
 
 
 def hom_dim_tube(t: CanonicalType, x: TubeIndec, y: TubeIndec) -> int:

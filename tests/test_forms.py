@@ -1,7 +1,10 @@
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
+from canalg.cones import in_P, in_Q
 from canalg.forms import (CanonicalType, DimVector, a_dim, basis_e, basis_e0,
                           basis_einf, basis_h, euler_form,
                           euler_quadratic, format_dim_vector,
@@ -56,6 +59,55 @@ def test_euler_form_witness_values():
 def test_euler_form_shape_mismatch():
     with pytest.raises(ValueError):
         euler_form(T236, basis_h(T222), basis_h(T222))
+
+
+def _euler_form_literal(t, x, y):
+    """<x, y> transcribed from its definition on the flat order: the sum over
+    vertices, less the sum over arrows, plus the sum over the n - 2 relations.
+    Arrow (i, j) runs from vertex (i, j) to (i, j - 1), so along each path of
+    ``chain_index`` the arrows run from inf back to 0; every relation runs
+    from inf (flat index 1) to 0 (flat index 0)."""
+    xs, ys = tuple(x.entries()), tuple(y.entries())
+    vertices = sum(xs[v] * ys[v] for v in range(t.vertex_count))
+    arrows = sum(xs[path[j]] * ys[path[j - 1]]
+                 for path in t.chain_index for j in range(1, len(path)))
+    relations = sum(xs[1] * ys[0] for _ in range(t.n - 2))
+    return vertices - arrows + relations
+
+
+def test_euler_form_matches_its_definition():
+    rng = random.Random(20061)
+    for _ in range(120):
+        t = CanonicalType(tuple(rng.randint(2, 7) for _ in range(rng.randint(3, 6))))
+        for _ in range(15):
+            x, y = (DimVector.from_entries(t, (rng.randint(-9, 9)
+                                               for _ in range(t.vertex_count)))
+                    for _ in range(2))
+            assert euler_form(t, x, y) == _euler_form_literal(t, x, y), (t, x, y)
+
+
+def test_readers_refuse_vectors_of_another_shape():
+    good = DimVector(2, 1, ((1,), (2,), (1,)))
+    too_long = DimVector(2, 1, ((2, 1), (2,), (1,)))
+    too_many = DimVector(2, 1, ((1,), (2,), (1,), (1,)))
+    for bad in (too_long, too_many):
+        assert not bad.matches(T222)
+        for call in (lambda: euler_form(T222, bad, good),
+                     lambda: euler_form(T222, good, bad),
+                     lambda: in_P(T222, bad),
+                     lambda: in_Q(T222, bad),
+                     lambda: quadratic_lower_bound(T222, bad)):
+            with pytest.raises(ValueError, match="does not fit type 2,2,2"):
+                call()
+
+
+def test_dim_vector_stores_only_its_fields():
+    assert [f.name for f in dataclasses.fields(DimVector)] == ["d0", "dinf", "arms"]
+    d = DimVector(3, 1, ((2,), (3,), (1,)))
+    euler_form(T222, d, d)
+    in_P(T222, d)
+    assert d.entry(2, 1) == 3 and d.matches(T222)
+    assert sorted(vars(d)) == ["arms", "d0", "dinf"]
 
 
 def test_from_entries_takes_one_entry_per_vertex():

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from canalg.forms import CanonicalType, basis_e, basis_h
+from canalg.forms import CanonicalType, basis_e, basis_h, zero_vector
 from canalg.tubes import (RegularModuleClass, TubeIndec, dim_vector, end_dim,
                           hom_dim_tube, hom_to_simple_nonzero,
                           parse_regular_class, parse_tube_indec, top_index)
@@ -13,6 +15,30 @@ def test_dim_vector_examples():
     assert dim_vector(T236, TubeIndec(2, 0, 3)) == basis_h(T236)
     assert dim_vector(T222, TubeIndec(1, 1, 1)) == basis_e(T222, 1, 1)
     assert dim_vector(T236, TubeIndec(3, 2, 2)) == basis_e(T236, 3, 2) + basis_e(T236, 3, 3)
+
+
+def _dim_vector_by_factors(t, xs):
+    """The sum of e_{i,j} taken one composition factor at a time."""
+    total = zero_vector(t)
+    for x in xs:
+        mi = t.arm_length(x.arm)
+        for u in range(x.qlen):
+            total = total + basis_e(t, x.arm, (x.socle + u) % mi)
+    return total
+
+
+def test_dim_vector_matches_factor_by_factor_sum():
+    rng = random.Random(1711)
+    for m in ((2, 2, 2), (2, 3, 6), (2, 3, 7), (5, 5, 5, 5, 5)):
+        t = CanonicalType(m)
+        members = [TubeIndec(i, a, l) for i, mi in enumerate(m, start=1)
+                   for a in range(mi) for l in range(1, 3 * mi + 2)]
+        for x in members:
+            assert dim_vector(t, x) == _dim_vector_by_factors(t, [x]), (t, x)
+        for _ in range(200):
+            xs = RegularModuleClass(tuple(rng.choices(members, k=rng.randint(1, 6))))
+            assert dim_vector(t, xs) == _dim_vector_by_factors(t, xs), (t, xs)
+        assert dim_vector(t, RegularModuleClass(())) == zero_vector(t)
 
 
 def test_dim_vector_periodicity():
