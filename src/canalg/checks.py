@@ -177,9 +177,12 @@ def geometry_suite(t: CanonicalType, pmax: int = 4) -> list[CheckResult]:
     boundary, _ = geometry.classify_type(t)
     # one slice pass per level gives the defect, CI, normality and count
     summaries = {p: geometry.ci_summary(t, p) for p in range(1, pmax + 1)}
+    # one exhaustive scan of P answers every level it is checked at
+    naive = (geometry.equality_levels_naive(t, min(pmax, 4))
+             if t.product <= 60 and pmax >= 1 else [])
     for p, summary in summaries.items():
         if t.product <= 60 and p <= 4:
-            naive_defect, naive_eq = geometry.equality_vectors_naive(t, p)
+            naive_defect, naive_eq = naive[p]
             defect = summary["defect"]
             ok = naive_defect == defect
             detail = "" if ok else f"p={p}: closed form {defect} vs naive {naive_defect}"
@@ -260,26 +263,44 @@ def _below_end(t: CanonicalType, th: int, xx: int) -> bool:
     return xx < t.total - t.n * th
 
 
-def _level_tally(t: CanonicalType, pmax: int, keys: Counter) -> Counter:
-    """Per level p <= pmax, how many triples counted in ``keys`` by their
-    (q, th, sd, pair, xx) break the slope-one deficiency, are negative, plus
-    or flat, or split plus from flat.  The conditions read only the key, so
-    each is taken once per key and weighed by its count."""
+def _key_levels(t: CanonicalType, pmax: int, keys: Counter) -> Iterator[tuple]:
+    """Per key (q, th, sd, pair, xx) of ``keys`` and level p in [q, pmax]:
+    the key, its count, p, the deficiency and whether the key is plus and flat.
+    The conditions read only the key, so each is taken once per key and level."""
     a_ph = {p: a_dim(t, p * basis_h(t)) for p in range(1, pmax + 1)}
     tgt = {p: zeroset.target_zero_dim(t, p) for p in range(1, pmax + 1)}
-    tally = Counter()
-    for (q, th, sd, pair, xx), count in keys.items():
+    for key, count in keys.items():
+        q, th, sd, pair, xx = key
         for p in range(q, pmax + 1):
             d = zeroset._deficiency(t, p, q, th, sd)
             plus = zeroset._is_equality(t, p, q, th, pair, xx)
             flat = d == 0 and a_ph[p] - zeroset._stratum_codim(
                 p, q, th, sd, pair, xx) == tgt[p]
-            tally["slope", p] += count * (th == 1 and d != p - q)
-            tally["negative", p] += count * (d < 0)
-            tally["plus", p] += count * plus
-            tally["flat", p] += count * flat
-            tally["split", p] += count * (plus != flat)
+            yield key, count, p, d, plus, flat
+
+
+def _level_tally(t: CanonicalType, pmax: int, keys: Counter) -> Counter:
+    """Per level p <= pmax, how many triples counted in ``keys`` by their
+    (q, th, sd, pair, xx) break the slope-one deficiency, are negative, plus
+    or flat, or split plus from flat; each key is weighed by its count."""
+    tally = Counter()
+    for (q, th, *_), count, p, d, plus, flat in _key_levels(t, pmax, keys):
+        tally["slope", p] += count * (th == 1 and d != p - q)
+        tally["negative", p] += count * (d < 0)
+        tally["plus", p] += count * plus
+        tally["flat", p] += count * flat
+        tally["split", p] += count * (plus != flat)
     return tally
+
+
+def _first_split(t: CanonicalType, p: int, keys: Counter) -> str:
+    """The first key of ``keys`` that is flat but not plus at level p, or
+    plus but not flat, with its count and side; "" if there is none."""
+    for key, count, level, _, plus, flat in _key_levels(t, p, keys):
+        if level == p and plus != flat:
+            side = "flat, not plus" if flat else "plus, not flat"
+            return f"first split key {key}: {count} triples, {side}"
+    return ""
 
 
 def zeroset_suite(t: CanonicalType, pmax: int = 4,
@@ -321,8 +342,9 @@ def zeroset_suite(t: CanonicalType, pmax: int = 4,
         if p > t.n:
             # strictness range: equality strata = target-dimensional diff-0 strata
             ok = not tally["split", p]
-            out.append(CheckResult(f"zeroset/equality-strata[{t},p={p}]", ok,
-                                   "" if ok else f"{tally['flat', p]} vs {tally['plus', p]}"))
+            out.append(CheckResult(
+                f"zeroset/equality-strata[{t},p={p}]", ok, "" if ok else
+                f"{tally['flat', p]} vs {tally['plus', p]}; {_first_split(t, p, keys)}"))
         least = zeroset._least_deficiency(t, p)[0]
         ok = (tally["negative", p] == 0) == (least >= 0)
         out.append(CheckResult(f"zeroset/closed-form-decision[{t},p={p}]", ok,

@@ -39,12 +39,28 @@ def in_Q(t: CanonicalType, d: DimVector) -> bool:
                for a in d.arms)
 
 
+def _P_blocks(t: CanonicalType, p: int) -> Iterator[tuple[int, int, list[list[tuple[int, ...]]]]]:
+    """The nonzero part of P with d0 <= p, one block per (d0, dinf).
+
+    Yields (d0, dinf, chains) for 0 <= dinf < d0 <= p in lexicographic order,
+    where chains[i-1] lists arm i's nonincreasing interior chains with values
+    in [dinf, d0], in ascending lexicographic order; the block's vectors are
+    DimVector(d0, dinf, combo) for combo in product(*chains).
+    """
+    for d0 in range(1, p + 1):
+        for dinf in range(d0):
+            values = range(d0, dinf - 1, -1)
+            yield d0, dinf, [list(combinations_with_replacement(values, mi - 1))[::-1]
+                             for mi in t.m]
+
+
 def enumerate_P(t: CanonicalType, p: int, cap: int = DEFAULT_CAP) -> Iterator[DimVector]:
     """All d in P with d0 <= p, each exactly once.
 
     Every coordinate of such a vector lies in [0, p], so the stream is finite.
     Order is lexicographic in (d0, dinf, arm entries), which keeps golden tests
-    stable.  Raises EnumerationCapExceeded beyond ``cap`` elements.
+    stable; so the stream at p is the prefix with d0 <= p of the stream at any
+    larger level.  Raises EnumerationCapExceeded beyond ``cap`` elements.
     """
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p}")
@@ -52,18 +68,13 @@ def enumerate_P(t: CanonicalType, p: int, cap: int = DEFAULT_CAP) -> Iterator[Di
     if emitted > cap:
         raise EnumerationCapExceeded(f"cap {cap} exceeded while enumerating P")
     yield zero_vector(t)
-    for d0 in range(1, p + 1):
-        for dinf in range(d0):
-            # per arm, the nonincreasing interior chains from [dinf, d0] in
-            # ascending lexicographic order
-            values = range(d0, dinf - 1, -1)
-            for combo in product(*(list(combinations_with_replacement(values, mi - 1))[::-1]
-                                   for mi in t.m)):
-                emitted += 1
-                if emitted > cap:
-                    raise EnumerationCapExceeded(
-                        f"cap {cap} exceeded while enumerating P for {t}, p={p}")
-                yield DimVector(d0, dinf, combo)
+    for d0, dinf, chains in _P_blocks(t, p):
+        for combo in product(*chains):
+            emitted += 1
+            if emitted > cap:
+                raise EnumerationCapExceeded(
+                    f"cap {cap} exceeded while enumerating P for {t}, p={p}")
+            yield DimVector(d0, dinf, combo)
 
 
 def count_P(t: CanonicalType, p: int) -> int:

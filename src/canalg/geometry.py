@@ -9,15 +9,26 @@ sum of its m_i squared steps from s down to 0, minus s^2; steps summing to s
 have the least square sum when balanced, so the minimum is a closed form and
 the minimizing chains are the placements of the s mod m_i longer steps.  One
 report evaluates the slice table once, in O(n*p).
+
+The exhaustive reference (equality_levels_naive) checks that closed form
+against every vector of P.  It reads P once up to the top level, one block of
+fixed (d0, dinf) at a time: level p is the prefix of blocks with d0 <= p, so
+one pass answers every level.  Within a block the form is summed arm by arm,
+from one euler_quadratic call for the block's base and one per chain of each
+arm (the arms share no vertex and no arrow), and the per-vector sums run in
+C.  It stays independent of the closed form: it visits every d0, every dinf
+and every chain, tight or not, and reads no h-shift, no balanced-step
+argument and no list of tight slices; euler_form is its only evaluator of
+the form.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import comb, prod
 from typing import Literal
 
-from .cones import DEFAULT_CAP, EnumerationCapExceeded, enumerate_P
+from .cones import DEFAULT_CAP, EnumerationCapExceeded, _P_blocks
 from .forms import CanonicalType, DimVector, basis_h, euler_quadratic, zero_vector
 
 Boundary = Literal["above_boundary", "on_boundary", "below_boundary"]
@@ -158,21 +169,60 @@ def irreducible_components(t: CanonicalType, p: int, cap: int = DEFAULT_CAP) -> 
     return out
 
 
+def _block_forms(t: CanonicalType, d0: int, dinf: int,
+                 chains: list[list[tuple[int, ...]]]) -> list[int]:
+    """<d, d> for each d = DimVector(d0, dinf, combo) of a block of P, combo
+    over product(*chains) in order, from one euler_quadratic call per chain.
+
+    With B = (d0, dinf, zero arms) and A_i arm i's interior part, two arms
+    share no vertex and no arrow, so <A_i, A_j> = 0 for i != j, and by
+    bilinearity <d, d> = <B, B> + sum_i (<B + A_i, B + A_i> - <B, B>).
+    """
+    arms = zero_vector(t).arms
+    base = euler_quadratic(t, DimVector(d0, dinf, arms))
+    tables = [[euler_quadratic(t, DimVector(d0, dinf, (*arms[:i], c, *arms[i + 1:]))) - base
+               for c in arm_chains] for i, arm_chains in enumerate(chains)]
+    tables[0] = [base + x for x in tables[0]]
+    return list(map(sum, product(*tables)))
+
+
+def equality_levels_naive(t: CanonicalType, pmax: int) -> list[tuple[int, list[DimVector]]]:
+    """Exhaustive reference for every level p in [0, pmax], from one scan of P.
+
+    Entry p is equality_vectors_naive(t, p): the least of
+    <d, d> + p*(d0 - dinf) over d in P with d0 <= p, and the d attaining 0,
+    zero first and then in enumerate_P order.  Level p reads the blocks with
+    d0 <= p: enumerate_P(t, p) is that prefix of enumerate_P(t, pmax).
+    Raises EnumerationCapExceeded past DEFAULT_CAP vectors, as enumerate_P does.
+    """
+    if pmax < 0:
+        raise ValueError(f"p must be >= 0, got {pmax}")
+    zero = zero_vector(t)
+    least = [0] * (pmax + 1)
+    eq = [[zero] for _ in range(pmax + 1)]
+    seen = 1
+    for d0, dinf, chains in _P_blocks(t, pmax):
+        seen += prod(map(len, chains))
+        if seen > DEFAULT_CAP:
+            raise EnumerationCapExceeded(
+                f"cap {DEFAULT_CAP} exceeded while enumerating P for {t}, p={pmax}")
+        values = _block_forms(t, d0, dinf, chains)
+        lo, slope = min(values), d0 - dinf
+        for p in range(d0, pmax + 1):
+            least[p] = min(least[p], lo + p * slope)
+            if lo <= -p * slope:
+                hits = map((-p * slope).__eq__, values)
+                eq[p] += (DimVector(d0, dinf, c) for c in compress(product(*chains), hits))
+    return list(zip(least, eq))
+
+
 def equality_vectors_naive(t: CanonicalType, p: int) -> tuple[int, list[DimVector]]:
-    """Brute-force fallback: scan all of enumerate_P and return (defect, equality set).
+    """Exhaustive reference: (defect, equality set) from a scan of all of P with d0 <= p.
 
     Cross-checks the closed form on small instances; the equality set lists every d with
-    <d, d> + p*(d0 - dinf) = 0 in enumeration order.
+    <d, d> + p*(d0 - dinf) = 0 in enumeration order.  Level p of equality_levels_naive.
     """
-    best = 0
-    eq: list[DimVector] = []
-    for d in enumerate_P(t, p):
-        val = euler_quadratic(t, d) + p * (d.d0 - d.dinf)
-        if val < best:
-            best = val
-        if val == 0:
-            eq.append(d)
-    return best, eq
+    return equality_levels_naive(t, p)[p]
 
 
 def boundary_component_count(t: CanonicalType, p: int) -> int:

@@ -1,8 +1,11 @@
+import ast
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from canalg import checks, oracle, zeroset
+from canalg import checks, oracle, zeroset, zpstream
 from canalg.cones import EnumerationCapExceeded
 from canalg.forms import CanonicalType
 
@@ -52,6 +55,26 @@ def test_closed_form_decision_checked_against_stream():
     names = [r.name for r in results]
     for p in (1, 2, 3):
         assert f"zeroset/closed-form-decision[2,2,2,p={p}]" in names
+
+
+def test_equality_strata_failure_names_a_key_that_splits():
+    # verify --type 2,2,2,2 --pmax 5 fails this check, 52 flat strata against
+    # 48 plus ones; the detail names the first key that splits the two
+    t = CanonicalType((2, 2, 2, 2))
+    [got] = [r for r in checks.zeroset_suite(t, 5)
+             if r.name == "zeroset/equality-strata[2,2,2,2,p=5]"]
+    found = re.fullmatch(r"(\d+) vs (\d+); first split key (\(.*\)): (\d+) triples, "
+                         r"(flat, not plus|plus, not flat)", got.details)
+    assert not got.ok and found, got.details
+    key, count, flat = ast.literal_eval(found[3]), int(found[4]), found[5].startswith("flat")
+    keys = zpstream._ArmZp(t, 5).key_counts(10**9)
+    assert keys[key] == count
+    one = checks._level_tally(t, 5, Counter({key: count}))
+    assert (one["flat", 5], one["plus", 5]) == ((count, 0) if flat else (0, count))
+    before = list(keys)[:list(keys).index(key)]
+    assert not checks._level_tally(t, 5, Counter({k: keys[k] for k in before}))["split", 5]
+    # no key splits at p = 4, where the helper names none
+    assert checks._first_split(t, 4, keys) == ""
 
 
 @pytest.mark.parametrize("arms, pmax", [((2, 2, 2), 2), ((2, 2, 2), 3), ((2, 2, 2, 2), 3)])

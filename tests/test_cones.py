@@ -41,6 +41,15 @@ def test_enumerate_P_order_and_membership():
     assert all(in_P(T236, v) and v.d0 <= 2 for v in vs)
 
 
+def test_enumerate_P_levels_are_prefixes():
+    # the exhaustive reference reads every level from one pass at the top level
+    for t in (T222, T236, CanonicalType((2, 2, 2, 2))):
+        for pmax in range(1, 5):
+            top = list(enumerate_P(t, pmax))
+            for p in range(pmax):
+                assert list(enumerate_P(t, p)) == [d for d in top if d.d0 <= p], (t, p, pmax)
+
+
 def test_count_P_matches():
     for t, p in [(T222, 3), (T236, 2), (T237, 1)]:
         assert count_P(t, p) == len(list(enumerate_P(t, p)))

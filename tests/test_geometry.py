@@ -1,15 +1,18 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+from math import prod
 
 import pytest
 
-from canalg.forms import (CanonicalType, euler_quadratic,
+from canalg import geometry
+from canalg.forms import (CanonicalType, DimVector, euler_quadratic,
                           format_dim_vector, zero_vector)
-from canalg.cones import in_P
-from canalg.geometry import (_arm_min, _arm_min_chains,
+from canalg.cones import EnumerationCapExceeded, _P_blocks, enumerate_P, in_P
+from canalg.geometry import (_arm_min, _arm_min_chains, _block_forms,
                              boundary_component_count, ci_defect,
                              ci_failure_witness, ci_summary, classify_type,
-                             component_count, equality_vectors_naive,
+                             component_count, equality_levels_naive,
+                             equality_vectors_naive,
                              irreducible_components, is_complete_intersection,
                              is_normal)
 
@@ -97,6 +100,60 @@ def test_dp_matches_naive_small():
         assert ci_defect(t, p) == naive_defect
         comps = irreducible_components(t, p)
         assert [d.sort_key() for d in comps] == sorted(d.sort_key() for d in naive_eq)
+
+
+def _per_vector_naive(t, p):
+    # the per-vector reference: every d of enumerate_P, with one
+    # euler_quadratic call each and no block sums
+    best, eq = 0, []
+    for d in enumerate_P(t, p):
+        val = euler_quadratic(t, d) + p * (d.d0 - d.dinf)
+        best = min(best, val)
+        if val == 0:
+            eq.append(d)
+    return best, eq
+
+
+def test_block_scan_matches_per_vector_scan():
+    types = [m for n in range(3, 7) for m in combinations_with_replacement(range(2, 16), n)
+             if prod(m) <= 30]
+    assert len(types) == 12 and (2, 2, 2, 3) in types and (2, 3, 5) in types
+    # those are all normal at p <= 4; with n = 8 arms slice 2 is tight at
+    # p = 2 (2p + 4 - n = 0), and with 9 it is negative
+    for m, pmax in [*((m, 4) for m in types),
+                    ((2,) * 8, 2), ((3,) + (2,) * 7, 2), ((2,) * 9, 2)]:
+        t = CanonicalType(m)
+        levels = equality_levels_naive(t, pmax)
+        assert len(levels) == pmax + 1
+        for p, level in enumerate(levels):
+            assert level == _per_vector_naive(t, p), (m, p)
+    assert len(equality_vectors_naive(CanonicalType((3,) + (2,) * 7), 2)[1]) == 4
+    assert equality_vectors_naive(CanonicalType((2,) * 9), 2)[0] == -1
+    for m, p in [((2, 3, 7), 4), ((7, 3, 2), 3)]:
+        t = CanonicalType(m)
+        assert equality_vectors_naive(t, p) == _per_vector_naive(t, p), (m, p)
+
+
+def test_block_forms_match_the_form_vector_by_vector():
+    # every small type is normal at p <= 4, so its equality lists are [zero]
+    # and cannot see a block value that is too high; compare every value
+    for m, pmax in [((2, 3, 7), 4), ((7, 3, 2), 3), ((2, 2, 2, 2), 3), ((3,) * 6, 1)]:
+        t = CanonicalType(m)
+        for d0, dinf, chains in _P_blocks(t, pmax):
+            want = [euler_quadratic(t, DimVector(d0, dinf, c)) for c in product(*chains)]
+            assert _block_forms(t, d0, dinf, chains) == want, (m, d0, dinf)
+
+
+def test_block_scan_keeps_the_enumeration_bounds(monkeypatch):
+    with pytest.raises(ValueError, match="p must be >= 0, got -1"):
+        equality_vectors_naive(T222, -1)
+    assert equality_vectors_naive(T222, 0) == (0, [zero_vector(T222)])
+    # 9 vectors of P at p = 1, 44 at p = 2: the cap counts the zero vector
+    monkeypatch.setattr(geometry, "DEFAULT_CAP", 44)
+    assert len(equality_levels_naive(T222, 2)) == 3
+    monkeypatch.setattr(geometry, "DEFAULT_CAP", 43)
+    with pytest.raises(EnumerationCapExceeded, match="cap 43 exceeded while enumerating P"):
+        equality_levels_naive(T222, 2)
 
 
 def test_equality_vectors_are_tight_on_boundary():
