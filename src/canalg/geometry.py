@@ -7,8 +7,26 @@ collapses to slices d with dinf = 0 and d0 = s in [1, p], and within a slice
 the form splits into independent per-arm sums.  Each arm sum is half of the
 sum of its m_i squared steps from s down to 0, minus s^2; steps summing to s
 have the least square sum when balanced, so the minimum is a closed form and
-the minimizing chains are the placements of the s mod m_i longer steps.  One
-report evaluates the slice table once, in O(n*p).
+the minimizing chains are the placements of the s mod m_i longer steps.
+
+Every level is decided from at most 2L slices, L = lcm(m) (_slice_candidates):
+all of [1, p] when p <= 2L, else [1, L] and [p - L + 1, p].  With s = q*m_i + r
+the arm minimum is (s^2 (1/m_i - 1) + r (m_i - r)/m_i) / 2, so the slice form
+is -delta*s^2 + rho(s mod L) with rho >= 0.  On a class s = r (mod L) in
+[1, p] the CI cost p*s + form, and the zero-set deficiency at q = p,
+(p - n)(s - 1) + form - 1, are quadratics in s.  For delta > 0 they are
+strictly concave, so each interior element of the class is strictly above
+the lesser end, and every least element is an end.  For delta <= 0,
+sum 1/m_i >= n - 2 and each 1/m_i <= 1/2 give n <= 4 <= 2L, so p > 2L gives
+p > n: both linear coefficients are positive and -delta >= 0, so along the
+class the cost strictly increases and the deficiency does not decrease, and
+the first element is least (for the cost, the only least one).  The first
+element of a class lies in [1, L] and its last in [p - L + 1, p].  So the set
+holds the exact least value of both; every slice of least cost, hence every
+tight slice when the least cost is 0 (none is tight when it is positive);
+and the smallest s of least deficiency, the zero-set witness, since for
+delta <= 0 the first element of a least element's class is least too, and no
+larger.
 
 The exhaustive reference (equality_levels_naive) checks that closed form
 against every vector of P.  It reads P once up to the top level, one block of
@@ -24,9 +42,9 @@ the form.
 
 from __future__ import annotations
 
-from itertools import combinations, compress, product
+from itertools import chain, combinations, compress, product
 from math import comb, prod
-from typing import Literal
+from typing import Iterator, Literal
 
 from .cones import DEFAULT_CAP, EnumerationCapExceeded, _P_blocks
 from .forms import CanonicalType, DimVector, basis_h, euler_quadratic, zero_vector
@@ -85,16 +103,25 @@ def _slice_form(t: CanonicalType, s: int) -> int:
     return s * s + sum(_arm_min(mi, s) for mi in t.m)
 
 
+def _slice_candidates(t: CanonicalType, p: int) -> Iterator[int]:
+    """The slices that decide level p, ascending: all of [1, p] when
+    p <= 2*lcm(m), else [1, lcm] and [p - lcm + 1, p] (module docstring)."""
+    L = t.lcm
+    return chain(range(1, min(p, L) + 1), range(max(L, p - L) + 1, p + 1))
+
+
 def _slices(t: CanonicalType, p: int) -> tuple[int, list[int]]:
-    """Least slice cost and the tight slices, in one pass over s in [1, p].
+    """Least slice cost and the tight slices, from _slice_candidates.
 
     The cost of slice s is the minimum of <d, d> + p*s over d in P with
-    d0 = s and dinf = 0; a slice is tight when that minimum is 0.
+    d0 = s and dinf = 0; a slice is tight when that minimum is 0.  The tight
+    list is complete whenever the least cost is >= 0, the only case that
+    reads it.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     least, tight = p + 1, []  # the cost of slice 1, whose arms all cost 0
-    for s in range(1, p + 1):
+    for s in _slice_candidates(t, p):
         cost = p * s + _slice_form(t, s)
         least = min(least, cost)
         if cost == 0:

@@ -11,10 +11,11 @@ the sign of an integer deficiency function over Z_p.
 The deficiency reads only the level q and d', and its least value over Z_p
 has a closed form: the term (p-q)<d',h> is never negative, so the least is at
 q = p, and on each slice <d',h> = s the least <d',d'> is the geometry slice
-minimum.  The decision is one O(n*p) pass over s in [1, p]; a negative
-minimum is attained by a triple built from the minimizing slice, which is
-rechecked as a member of Z_p.  Only the consumers of all of Z_p enumerate it,
-through zpstream, which joins one walk per exceptional tube.
+minimum.  The decision reads the at most 2*lcm(m) slices of
+geometry._slice_candidates; a negative minimum is attained by a triple built
+from the smallest minimizing slice, which is rechecked as a member of Z_p.
+Only the consumers of all of Z_p enumerate it, through zpstream, which joins
+one walk per exceptional tube.
 """
 
 from __future__ import annotations
@@ -244,10 +245,11 @@ def _least_deficiency(t: CanonicalType, p: int) -> tuple[int, int]:
 
     (p-q)<d',h> >= 0 puts the least at q = p, and shifting d' by h leaves
     <d',d'> unchanged, so on the slice <d',h> = s the least <d',d'> is
-    geometry._slice_form(t, s).
+    geometry._slice_form(t, s).  The slices of geometry._slice_candidates
+    hold the least value and its smallest s (geometry module docstring).
     """
     return min((_deficiency(t, p, p, s, geometry._slice_form(t, s)), s)
-               for s in range(1, p + 1))
+               for s in geometry._slice_candidates(t, p))
 
 
 def _slice_witness(t: CanonicalType, p: int, s: int) -> ZTriple:
@@ -287,9 +289,10 @@ def _decide(t: CanonicalType, p: int) -> ZTriple | None:
 def zeroset_is_ci(t: CanonicalType, p: int) -> bool:
     """Whether the deficiency is nonnegative over all of Z_p.
 
-    The least deficiency has a closed form over the slices s in [1, p], so
-    the answer takes O(n*p) and enumerates nothing; a negative least is
-    attained by a member of Z_p (ZeroSetReport gives it as the witness).
+    The least deficiency has a closed form over the slices s in [1, p], read
+    from at most 2*lcm(m) of them, so the answer enumerates nothing; a
+    negative least is attained by a member of Z_p (ZeroSetReport gives it as
+    the witness).
     Every type with delta < 1 has an irreducible variety at p*h, so the
     criterion applies without a geometry pass.  Types with delta >= 1, and
     wild types below the proved threshold, are refused with

@@ -249,6 +249,42 @@ def test_ci_counts_components_without_listing(capsys):
     assert code == 0 and payload["is_ci"] is False and payload["components"] is None
 
 
+def test_level_queries_read_at_most_two_lcm_slices(capsys, monkeypatch):
+    # counted calls, not wall time; past the bound the count stops the query
+    # (exit 3), since a pass over all of s in [1, 10**12] would not finish
+    p = 10**12
+    calls = []
+    slice_form = geometry._slice_form
+
+    def counted(t, s):
+        calls.append(s)
+        if len(calls) > 2 * t.lcm:
+            raise AssertionError("more than 2*lcm(m) slices read")
+        return slice_form(t, s)
+
+    monkeypatch.setattr(geometry, "_slice_form", counted)
+    answers = {}
+    for arms in ["2,3,7", "5,5,5,5,5", "2,2,2", "3,3,3,3,3,3,3"]:
+        t = CanonicalType.parse(arms)
+        for command in ["ci", "components", "zeroset"]:
+            calls.clear()
+            code, payload, _ = run_json(capsys, command, "--type", arms, "--p", str(p))
+            assert len(calls) <= 2 * t.lcm, (arms, command, len(calls))
+            answers[arms, command] = code, payload
+    t5 = CanonicalType((5,) * 5)
+    assert answers["5,5,5,5,5", "ci"] == (0, {"p": p, "is_ci": True, "is_normal": False,
+                                             "components": 2, "defect": 0})
+    code, payload = answers["5,5,5,5,5", "components"]
+    assert code == 0 and payload["count"] == 2 == geometry.boundary_component_count(t5, p)
+    code, payload = answers["2,2,2", "zeroset"]
+    assert code == 0 and payload["is_ci"] is True
+    assert payload["component_count"] == zeroset.component_count_formula(
+        CanonicalType((2, 2, 2)), p)
+    code, payload = answers["3,3,3,3,3,3,3", "ci"]
+    assert code == 0 and payload["is_ci"] is False
+    assert answers["3,3,3,3,3,3,3", "components"] == (2, None)
+
+
 def test_verify_cap_bounds_zero_set_triples(capsys):
     # Z_2 at (2,2,2) holds 94 triples
     argv = ("verify", "--type", "2,2,2", "--pmax", "2", "--samples", "10")

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import prod
 
 import pytest
 
-from canalg import geometry
+from canalg import geometry, zeroset
 from canalg.forms import (CanonicalType, DimVector, euler_quadratic,
                           format_dim_vector, zero_vector)
 from canalg.cones import EnumerationCapExceeded, _P_blocks, enumerate_P, in_P
@@ -95,11 +96,56 @@ def test_ci_failure_witness_values():
 
 
 def test_dp_matches_naive_small():
-    for t, p in [(T222, 4), (T236, 3), (CanonicalType((2, 3, 4)), 3), (T2222, 3)]:
+    # the last three are not normal: with n = 8 arms slice 2 is tight at
+    # p = 2, (3,) + (2,)*7 has 3 nonzero components there, and (2,)*9 is not CI
+    for m, p in [((2, 2, 2), 4), ((2, 3, 6), 3), ((2, 3, 4), 3), ((2, 2, 2, 2), 3),
+                 ((2,) * 8, 2), ((3,) + (2,) * 7, 2), ((2,) * 9, 2)]:
+        t = CanonicalType(m)
         naive_defect, naive_eq = equality_vectors_naive(t, p)
-        assert ci_defect(t, p) == naive_defect
+        assert ci_defect(t, p) == naive_defect, m
+        if naive_defect < 0:
+            with pytest.raises(ValueError, match="not a complete intersection"):
+                irreducible_components(t, p)
+            continue
         comps = irreducible_components(t, p)
-        assert [d.sort_key() for d in comps] == sorted(d.sort_key() for d in naive_eq)
+        assert [d.sort_key() for d in comps] == sorted(d.sort_key() for d in naive_eq), m
+    assert len(irreducible_components(CanonicalType((3,) + (2,) * 7), 2)) == 4
+    assert ci_defect(CanonicalType((2,) * 9), 2) < 0
+
+
+def _slices_full_range(t, p):
+    # the reference: every slice s in [1, p], not just geometry._slice_candidates
+    costs = [p * s + geometry._slice_form(t, s) for s in range(1, p + 1)]
+    return min(costs), [s for s, c in enumerate(costs, start=1) if c == 0]
+
+
+def _least_deficiency_full_range(t, p):
+    return min((zeroset._deficiency(t, p, p, s, geometry._slice_form(t, s)), s)
+               for s in range(1, p + 1))
+
+
+def _assert_candidates_match_full_range(t, p):
+    least, tight = geometry._slices(t, p)
+    want_least, want_tight = _slices_full_range(t, p)
+    assert least == want_least, (t.m, p)
+    if least >= 0:  # the tight list is read only then
+        assert tight == want_tight, (t.m, p)
+    assert zeroset._least_deficiency(t, p) == _least_deficiency_full_range(t, p), (t.m, p)
+
+
+def test_slice_candidates_match_full_range():
+    rng = random.Random(19)
+    types = [m for n in range(3, 6) for m in combinations_with_replacement(range(2, 7), n)
+             if prod(m) <= 400]
+    assert len(types) == 126  # at 22 levels each, 2,772 cases
+    for m in types:
+        t = CanonicalType(m)
+        for p in [*range(1, 20), *(rng.randint(1, 3 * t.lcm + 30) for _ in range(3))]:
+            _assert_candidates_match_full_range(t, p)
+    for m in [(5,) * 5, (3,) * 6, (3,) * 7, (2,) * 8, (2, 3, 7)]:
+        t = CanonicalType(m)
+        for p in (2 * t.lcm - 1, 2 * t.lcm, 2 * t.lcm + 1, 3 * t.lcm):
+            _assert_candidates_match_full_range(t, p)
 
 
 def _per_vector_naive(t, p):
