@@ -1,10 +1,11 @@
 """Small exact linear algebra kit.
 
 Matrices are tuples of row tuples of `fractions.Fraction`; `rank` takes sparse
-integer rows instead.  Zero-dimensional shapes (no rows, or rows of length
-zero) are legal and arise constantly from vertices carrying the zero space;
-callers that compose chains through zero spaces must short-circuit to an
-explicit zero matrix since an empty matrix carries no column count.
+integer rows instead and eliminates them sparsest row first, each pivot
+leading at its highest column.  Zero-dimensional shapes (no rows, or rows of
+length zero) are legal and arise constantly from vertices carrying the zero
+space; callers that compose chains through zero spaces must short-circuit to
+an explicit zero matrix since an empty matrix carries no column count.
 """
 
 from __future__ import annotations
@@ -77,15 +78,21 @@ def block_diag(a: Matrix, b: Matrix, acols: int, bcols: int) -> Matrix:
 def rank(rows: list[SparseRow]) -> int:
     """Rank of sparse integer rows {column: nonzero int}, by exact elimination.
 
-    Fraction-free: each pivot is keyed by its leading (least) column and
+    Fraction-free: each pivot is keyed by its leading (highest) column and
     divided by the gcd of its entries; an incoming row is reduced by
     a*row - b*pivot with a/b the pivot's and the row's leading entries over
     their gcd, until it vanishes or leads at a column with no pivot yet.
+    Rows enter sparsest first (a stable sort on their nonzero count) and
+    lead at their highest column, so short rows become pivots before long
+    ones are reduced and the low columns are eliminated last.  For the Hom
+    systems of `oracle.hom_dim_linear` the low columns are the d0 and dinf
+    blocks, which every arm touches, so this order keeps the reduced rows
+    from filling in (a static Markowitz order).
     """
     pivots: dict[int, SparseRow] = {}
-    for row in rows:
+    for row in sorted(rows, key=len):
         while row:
-            lead = min(row)
+            lead = max(row)
             pivot = pivots.get(lead)
             if pivot is None:
                 g = gcd(*row.values())

@@ -42,7 +42,8 @@ class LambdaChoice:
         if any(v == 0 for v in vals):
             raise ValueError("tube parameters must be nonzero")
         if len(set(vals)) != len(vals):
-            raise ValueError(f"tube parameters must be pairwise distinct, got {vals}")
+            raise ValueError("tube parameters must be pairwise distinct, got "
+                             + ", ".join(map(str, vals)))
 
     @classmethod
     def default_for(cls, t: CanonicalType) -> "LambdaChoice":
@@ -84,6 +85,8 @@ class MatrixRep:
     mats: Mapping[tuple[int, int], Matrix] = field(default_factory=dict)
     _relations: dict[LambdaChoice, bool] = field(
         init=False, repr=False, compare=False, default_factory=dict)
+    _cleared: dict[tuple[int, int], tuple[int, tuple[tuple[int, ...], ...]]] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.dim.matches(self.t):
@@ -101,6 +104,16 @@ class MatrixRep:
 
     def mat(self, i: int, j: int) -> Matrix:
         return self.mats[(i, j)]
+
+    def cleared(self, i: int, j: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The lcm of the denominators at arrow (i, j) and the matrix times
+        it, an integer matrix; computed once and kept."""
+        if (i, j) not in self._cleared:
+            m = self.mats[(i, j)]
+            scale = lcm(*(x.denominator for row in m for x in row))
+            self._cleared[(i, j)] = scale, tuple(
+                tuple(x.numerator * (scale // x.denominator) for x in row) for row in m)
+        return self._cleared[(i, j)]
 
     def composition(self, i: int) -> Matrix:
         """Product of the arm-i matrices, a d0 x dinf matrix."""
@@ -301,7 +314,11 @@ def hom_dim_linear(t: CanonicalType, lam: LambdaChoice,
 
     Unknowns are the per-vertex blocks f_x of shape dim_N(x) x dim_M(x);
     each arrow (i, j) imposes f_{(i,j-1)} M_{i,j} = N_{i,j} f_{(i,j)}.  The
-    rows go to `linalg.rank` as sparse integer rows.
+    denominators are cleared once per arrow: every entry of M_{i,j} and
+    N_{i,j} is scaled by the lcm of all their denominators (the lcm of the
+    two kept by `MatrixRep.cleared`), which scales each equation of the
+    arrow by the same nonzero integer and so keeps the rank.  The rows go to
+    `linalg.rank` as sparse integer rows.
     """
     for rep in (m_rep, n_rep):
         if not check_relations(t, lam, rep):
@@ -315,25 +332,24 @@ def hom_dim_linear(t: CanonicalType, lam: LambdaChoice,
 
     # Row (i, j, r, c) is entry (r, c) of f_w M_{i,j} - N_{i,j} f_v; the
     # blocks of f_w and f_v never share a column, so its nonzero entries are
-    # those of column c of M_{i,j} and of row r of N_{i,j}, cleared of their
-    # denominators into one integer row.
+    # those of column c of M_{i,j} and of row r of N_{i,j}.
     rows: list[linalg.SparseRow] = []
     for i, index in enumerate(t.chain_index, start=1):
         for j, (w, v) in enumerate(pairwise(index), start=1):
             dnw, dmw, dmv = dn[w], dm[w], dm[v]
             if dnw * dmv == 0:
                 continue
-            m_mat = m_rep.mat(i, j)
-            m_cols = [[(offsets[w] + k, m_mat[k][c]) for k in range(dmw) if m_mat[k][c]]
+            (m_scale, m_mat), (n_scale, n_mat) = m_rep.cleared(i, j), n_rep.cleared(i, j)
+            scale = lcm(m_scale, n_scale)
+            m_factor, n_factor = scale // m_scale, -(scale // n_scale)
+            m_cols = [[(offsets[w] + k, m_factor * m_mat[k][c]) for k in range(dmw) if m_mat[k][c]]
                       for c in range(dmv)]
-            n_rows = [[(offsets[v] + k * dmv, -x) for k, x in enumerate(row) if x]
-                      for row in n_rep.mat(i, j)]
+            n_rows = [[(offsets[v] + k * dmv, n_factor * x) for k, x in enumerate(row) if x]
+                      for row in n_mat]
             for r in range(dnw):
                 for c in range(dmv):
                     row = {col + r * dmw: x for col, x in m_cols[c]}
                     row.update((col + c, x) for col, x in n_rows[r])
                     if row:
-                        scale = lcm(*(x.denominator for x in row.values()))
-                        rows.append({col: x.numerator * (scale // x.denominator)
-                                     for col, x in row.items()})
+                        rows.append(row)
     return ncols - linalg.rank(rows)

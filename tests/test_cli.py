@@ -201,9 +201,13 @@ def test_level_zero_exits_2(capsys, command):
     (("--lambdas", "x"), "--lambdas takes rationals"),
     (("--sizes", "0"), "--sizes must be >= 1"),
     (("--lambdas", ""), "--lambdas takes rationals"),
+    (("--lambdas", "1,1"), "tube parameters must be pairwise distinct, got 1, 1"),
+    (("--sizes", "46"), "--sizes must be <= 45, got 46"),
+    (("--sizes", "1000"), "--sizes must be <= 45, got 1000"),
 ])
 def test_oracle_bad_input_exits_2(capsys, extra, message):
-    code, out, err = run(capsys, "oracle", "--type", "2,2,2", *extra)
+    arms = "2,2,2,2" if "--lambdas" in extra else "2,2,2"
+    code, out, err = run(capsys, "oracle", "--type", arms, *extra)
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1

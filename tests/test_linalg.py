@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from canalg import checks, linalg
+from canalg.forms import CanonicalType
 from canalg.linalg import eye, matmul, rank, zeros
 
 
@@ -27,6 +30,31 @@ def dense_rank(rows) -> int:
         if r == len(rows):
             break
     return r
+
+
+def reference_rank(rows) -> int:
+    """Reference elimination: rows in input order, each pivot leading at its
+    least column; otherwise the same fraction-free steps as `rank`."""
+    pivots = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                g = gcd(*row.values())
+                pivots[lead] = {c: x // g for c, x in row.items()}
+                break
+            g = gcd(pivot[lead], row[lead])
+            a, b = pivot[lead] // g, row[lead] // g
+            reduced = {c: a * x for c, x in row.items()}
+            for c, x in pivot.items():
+                y = reduced.get(c, 0) - b * x
+                if y:
+                    reduced[c] = y
+                else:
+                    del reduced[c]
+            row = reduced
+    return len(pivots)
 
 
 def _sparse(rows):
@@ -56,8 +84,37 @@ def test_rank_matches_dense_reference():
         rows = _random_matrix(rng)
         sparse = _sparse(rows)
         copy = [dict(row) for row in sparse]
-        assert rank(sparse) == dense_rank(rows), rows
+        want = dense_rank(rows)
+        assert rank(sparse) == want, rows
         assert sparse == copy  # the input rows are left as they were
+        # rank is invariant under a row permutation and a column relabelling
+        relabel = list(range(len(rows[0]) if rows else 0))
+        rng.shuffle(relabel)
+        moved = [{relabel[c]: x for c, x in row.items()} for row in rng.sample(sparse, len(sparse))]
+        assert rank(moved) == want, rows
+
+
+def test_rank_matches_reference_on_oracle_systems(monkeypatch):
+    """Every system the full (2,3,4) oracle suite with sizes 1-6 hands to
+    rank: the sparsest-first order against the input-order reference, and
+    against dense elimination where it is small."""
+    systems = []
+
+    def capture(rows):
+        systems.append((rows, reference_rank(rows)))
+        return systems[-1][1]
+
+    monkeypatch.setattr(linalg, "rank", capture)
+    results = checks.oracle_suite(CanonicalType((2, 3, 4)), sizes=tuple(range(1, 7)), full=True)
+    monkeypatch.undo()
+    assert all(r.ok for r in results)
+    assert len(systems) > 500
+    for rows, want in systems:
+        assert rank(rows) == want
+        ncols = max((max(row) for row in rows if row), default=-1) + 1
+        if ncols <= 60:
+            dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+            assert dense_rank(dense) == want
 
 
 @pytest.mark.parametrize("rows, want", [
