@@ -42,22 +42,31 @@ _RAND_ENTRY = 12  # _rand_vector's entries lie in [-_RAND_ENTRY, _RAND_ENTRY]
 _RAND_P_TOP = 9  # the largest d0 of _rand_P_vector
 
 
+def _draw(rng: random.Random, lo: int, hi: int) -> int:
+    """An int in [lo, hi], uniform up to float rounding, from one
+    ``rng.random()`` call.  Every draw of the forms and cones suites comes
+    from here: CPython keeps the stream of ``random()`` for a seed across
+    versions, which it does not promise for ``randint``, and a draw runs one
+    Python frame where ``randint`` runs three."""
+    return lo + int(rng.random() * (hi - lo + 1))
+
+
 def _rand_vector(t: CanonicalType, rng: random.Random) -> DimVector:
     lo, hi = -_RAND_ENTRY, _RAND_ENTRY
-    return DimVector(rng.randint(lo, hi), rng.randint(lo, hi),
-                     tuple(tuple(rng.randint(lo, hi) for _ in range(mi - 1))
+    return DimVector(_draw(rng, lo, hi), _draw(rng, lo, hi),
+                     tuple(tuple(_draw(rng, lo, hi) for _ in range(mi - 1))
                            for mi in t.m))
 
 
 def _rand_P_vector(t: CanonicalType, rng: random.Random) -> DimVector:
-    dinf = rng.randint(0, _RAND_P_TOP - 1)
-    d0 = rng.randint(dinf + 1, _RAND_P_TOP)
+    dinf = _draw(rng, 0, _RAND_P_TOP - 1)
+    d0 = _draw(rng, dinf + 1, _RAND_P_TOP)
     arms = []
     for mi in t.m:
         chain = []
         prev = d0
         for _ in range(mi - 1):
-            prev = rng.randint(dinf, prev)
+            prev = _draw(rng, dinf, prev)
             chain.append(prev)
         arms.append(tuple(chain))
     return DimVector(d0, dinf, tuple(arms))
@@ -75,15 +84,19 @@ def forms_suite(t: CanonicalType, rng: random.Random, samples: int = 1000) -> li
         euler_form(t, d, h) == d.d0 - d.dinf
         and euler_form(t, h, d) == -(d.d0 - d.dinf)) else f"d={d}")
 
+    # the tube simples e_{i,j}, j in [0, m_i), of each arm, built once
+    simples = [[basis_e(t, i, j) for j in range(mi)] for i, mi in enumerate(t.m, start=1)]
+
     def pairing_e(d):
-        for i, mi in enumerate(t.m, start=1):
+        for i, (es, c) in enumerate(zip(simples, d.chains()), start=1):
+            mi = len(es)  # c is arm i's path, c[j] = d_{i,j} for j in [0, m_i]
             for j in range(1, mi):
-                if euler_form(t, basis_e(t, i, j), d) != d.entry(i, j) - d.entry(i, j - 1):
+                if euler_form(t, es[j], d) != c[j] - c[j - 1]:
                     return f"<e_({i},{j}), d> wrong for d={d}"
-            if euler_form(t, basis_e(t, i, 0), d) != d.entry(i, mi) - d.entry(i, mi - 1):
+            if euler_form(t, es[0], d) != c[mi] - c[mi - 1]:
                 return f"<e_({i},0), d> wrong for d={d}"
-            for j in range(0, mi):
-                if euler_form(t, d, basis_e(t, i, j)) != d.entry(i, j) - d.entry(i, j + 1):
+            for j in range(mi):
+                if euler_form(t, d, es[j]) != c[j] - c[j + 1]:
                     return f"<d, e_({i},{j})> wrong for d={d}"
         return None
 
@@ -102,7 +115,7 @@ def forms_suite(t: CanonicalType, rng: random.Random, samples: int = 1000) -> li
 
     run("lower-bound", bound)
     run("h-translation", lambda d: None if (
-        euler_quadratic(t, d + rng.randint(0, 6) * h) == euler_quadratic(t, d)) else f"d={d}")
+        euler_quadratic(t, d + _draw(rng, 0, 6) * h) == euler_quadratic(t, d)) else f"d={d}")
 
     def a_identity(d):
         dd = DimVector(abs(d.d0), abs(d.dinf),
@@ -130,7 +143,7 @@ def cones_suite(t: CanonicalType, rng: random.Random, samples: int = 1000) -> li
 
     def duality():
         d = _rand_P_vector(t, rng)
-        p = d.d0 + rng.randint(0, 4)
+        p = d.d0 + _draw(rng, 0, 4)
         comp = p * h - d
         if not in_Q(t, comp):
             return f"p*h - d not in Q for d={d}, p={p}"
@@ -142,7 +155,7 @@ def cones_suite(t: CanonicalType, rng: random.Random, samples: int = 1000) -> li
 
     def translate():
         d = _rand_P_vector(t, rng)
-        c = rng.randint(0, 5)
+        c = _draw(rng, 0, 5)
         if not in_P(t, d + c * h):
             return f"d + {c}h left P for d={d}"
         return None
@@ -150,8 +163,8 @@ def cones_suite(t: CanonicalType, rng: random.Random, samples: int = 1000) -> li
     run("h-translate", translate)
 
     def slope_one():
-        r = rng.randint(0, 6)
-        ls = tuple(rng.randint(0, mi - 1) for mi in t.m)
+        r = _draw(rng, 0, 6)
+        ls = tuple(_draw(rng, 0, mi - 1) for mi in t.m)
         d = r * h + slope_one_vector(t, ls)
         got = decompose_slope_one(t, d)
         if got != (r, ls):

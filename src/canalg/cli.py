@@ -124,10 +124,18 @@ def _emit_results(payload: dict, results: list, fmt: str) -> None:
         print(line)
 
 
+# Largest --samples verify takes: on a shared 2-core x86-64 host each sample
+# of the forms and cones suites costs about 0.6 ms at 5,5,5,5,5, and
+# `verify --type 5,5,5,5,5 --samples 100000` took 61 s.
+MAX_SAMPLES = 100_000
+
+
 def cmd_verify(args) -> int:
     from . import checks
     t = CanonicalType.parse(args.type)
     _at_least_one(("--pmax", args.pmax), ("--samples", args.samples), ("--cap", args.cap))
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples must be <= {MAX_SAMPLES}, got {args.samples}")
     results = checks.run_all(t, pmax=args.pmax, seed=args.seed, samples=args.samples,
                              cap=args.cap)
     all_ok = all(r.ok for r in results)
@@ -144,6 +152,10 @@ def cmd_verify(args) -> int:
 # Largest --sizes the oracle takes: on a shared 2-core x86-64 host the full
 # (2,3,4) battery took 35 s at 40, 54 s at 45 and 83 s at 48.
 MAX_ORACLE_SIZES = 45
+# Most Hom systems between tube modules `oracle --full` solves, one per pair
+# of its 2*|m| modules: on the same host `--type 150,150,150 --full --sizes 1`
+# (810,000 systems) took 52 s, `120,120,120` (518,400) 25 s.
+MAX_ORACLE_PAIRS = 810_000
 
 
 def cmd_oracle(args) -> int:
@@ -152,6 +164,10 @@ def cmd_oracle(args) -> int:
     _at_least_one(("--sizes", args.sizes))
     if args.sizes > MAX_ORACLE_SIZES:
         raise ValueError(f"--sizes must be <= {MAX_ORACLE_SIZES}, got {args.sizes}")
+    pairs = (2 * t.total) ** 2
+    if args.full and pairs > MAX_ORACLE_PAIRS:
+        raise ValueError(f"--full solves (2*{t.total})^2 = {pairs} Hom systems between "
+                         f"tube modules, more than {MAX_ORACLE_PAIRS}")
     if args.lambdas is not None:
         lam = oracle.LambdaChoice(tuple(_rational("--lambdas", x)
                                         for x in args.lambdas.split(",")))
@@ -199,11 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
                          "it is an error")
     sp.add_argument("--pmax", type=int, default=4,
                     help="highest level checked; for arm products up to 20 the zero-set "
-                         "suite counts Z_p at p = min(pmax, 6), which grows about tenfold "
-                         "per level (2,2,2: 27,137 triples at 4, 243,566 at 5)")
+                         "suite counts Z_p at p = min(pmax, 6) by key, without listing "
+                         "its triples: the whole verify run takes about 0.3 s for 2,2,2 "
+                         "at 4 and 0.6 s at 6, 0.4 s for 2,2,2,2 at 4, and 4.6 s for "
+                         "2,2,4 at 4, which passes --cap after 38 s at 5")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--samples", type=int, default=300,
-                    help="vectors drawn per forms and cones check; time is linear in it")
+                    help=f"vectors drawn per forms and cones check, at most {MAX_SAMPLES:,}; "
+                         "a sample of all ten checks costs about 0.6 ms at 5,5,5,5,5, so "
+                         f"300 take about 0.2 s and {MAX_SAMPLES:,} about 60 s")
 
     sp = sub.add_parser("oracle", help="matrix-level validation of the tube model")
     common(sp)
@@ -218,7 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "sizes: the full 2,3,4 battery takes about 1 s at 15, 4 s at 20 "
                          f"and 55 s at {MAX_ORACLE_SIZES}")
     sp.add_argument("--full", action="store_true",
-                    help="force the full pairwise Hom battery")
+                    help="force the full pairwise Hom battery: one exact Hom system per "
+                         "pair of the 2*|m| tube modules, refused past "
+                         f"{MAX_ORACLE_PAIRS:,} pairs (|m| = 450); 120,120,120 at "
+                         "--sizes 1 takes about 25 s")
     return parser
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import pairwise
 from math import lcm, prod
-from operator import mul
+from operator import index as _index, mul
 from typing import Iterable, Iterator, Sequence
 
 
@@ -171,23 +171,38 @@ class DimVector:
         return (self.d0, self.dinf, self.arms)
 
     def __add__(self, other: "DimVector") -> "DimVector":
-        return DimVector(self.d0 + other.d0, self.dinf + other.dinf,
-                         tuple(tuple(x + y for x, y in zip(a, b, strict=True))
-                               for a, b in zip(self.arms, other.arms, strict=True)))
+        return _normalised(self.d0 + other.d0, self.dinf + other.dinf,
+                           tuple(tuple(x + y for x, y in zip(a, b, strict=True))
+                                 for a, b in zip(self.arms, other.arms, strict=True)))
 
     def __sub__(self, other: "DimVector") -> "DimVector":
-        return DimVector(self.d0 - other.d0, self.dinf - other.dinf,
-                         tuple(tuple(x - y for x, y in zip(a, b, strict=True))
-                               for a, b in zip(self.arms, other.arms, strict=True)))
+        return _normalised(self.d0 - other.d0, self.dinf - other.dinf,
+                           tuple(tuple(x - y for x, y in zip(a, b, strict=True))
+                                 for a, b in zip(self.arms, other.arms, strict=True)))
 
     def __mul__(self, c: int) -> "DimVector":
-        return DimVector(c * self.d0, c * self.dinf,
-                         tuple(tuple(c * x for x in a) for a in self.arms))
+        """The vector times an integer scalar; any other scalar, a Fraction or
+        a float included, raises TypeError rather than be truncated."""
+        c = _index(c)
+        return _normalised(c * self.d0, c * self.dinf,
+                           tuple(tuple(c * x for x in a) for a in self.arms))
 
     __rmul__ = __mul__
 
     def __str__(self) -> str:
         return format_dim_vector(self)
+
+
+def _normalised(d0: int, dinf: int, arms: tuple[tuple[int, ...], ...]) -> DimVector:
+    """The DimVector of coordinates that are ints already, as the operators'
+    results are, built without __post_init__'s second normalising pass.  Its
+    fields are set one by one, as the dataclass __init__ sets them: filling
+    ``__dict__`` would give each vector a dict of its own."""
+    new = object.__new__(DimVector)
+    object.__setattr__(new, "d0", d0)
+    object.__setattr__(new, "dinf", dinf)
+    object.__setattr__(new, "arms", arms)
+    return new
 
 
 def _check_shape(t: CanonicalType, *vectors: DimVector) -> None:
@@ -251,15 +266,20 @@ def slope_one_vector(t: CanonicalType, ls: Sequence[int]) -> DimVector:
 
 
 def euler_form(t: CanonicalType, d1: DimVector, d2: DimVector) -> int:
-    """The Ringel bilinear form <d1, d2>, exact over the integers."""
-    _check_shape(t, d1, d2)
+    """The Ringel bilinear form <d1, d2>, exact over the integers.  Raises
+    ValueError unless both vectors fit t."""
+    n = len(t.m)
+    if len(d1.arms) != n or len(d2.arms) != n:
+        _check_shape(t, d1, d2)
     y0, xinf = d2.d0, d1.dinf
-    total = d1.d0 * y0 + xinf * d2.dinf + (t.n - 2) * xinf * y0
+    total = d1.d0 * y0 + xinf * d2.dinf + (n - 2) * xinf * y0
     # per arm: the interior products d1_{i,j} * d2_{i,j}, less
     # d1_{i,j} * d2_{i,j-1} for each arrow (i, j), j in [1, m_i]; the arrows
     # (i, 1) and (i, m_i) reach d2's d0 and d1's dinf (interior arms are
     # never empty, as m_i >= 2)
-    for a, b in zip(d1.arms, d2.arms):
+    for k, a, b in zip(t.shape, d1.arms, d2.arms):
+        if len(a) != k or len(b) != k:
+            _check_shape(t, d1, d2)
         total += (sum(map(mul, a, b)) - sum(map(mul, a[1:], b))
                   - a[0] * y0 - xinf * b[-1])
     return total
@@ -273,16 +293,20 @@ def quadratic_via_decomposition(t: CanonicalType, d: DimVector) -> Fraction:
     """<d, d> computed through the sum-of-squares decomposition.
 
     Shifts d by -dinf*h (which leaves the quadratic value unchanged) and
-    evaluates -delta*d0'^2 plus the weighted squares along each arm.  Must
-    agree exactly with euler_quadratic on every integer vector.
+    evaluates -delta*d0'^2 plus, along each arm, the squares
+    ((k + 1)*d'_{i,j} - k*d'_{i,j-1})^2 over 2k(k + 1) with k = m_i - j,
+    summed as integers over their lcm.  Must agree exactly with
+    euler_quadratic on every integer vector.
     """
     _check_shape(t, d)
-    dp = d - d.dinf * basis_h(t)
-    total = -t.delta * dp.d0 * dp.d0
-    for mi, chain in zip(t.m, dp.chains()):
-        for j in range(1, mi):
-            term = (mi - j + 1) * chain[j] - (mi - j) * chain[j - 1]
-            total += Fraction(term * term, 2 * (mi - j) * (mi - j + 1))
+    dinf = d.dinf
+    s = d.d0 - dinf
+    total = -t.delta * s * s
+    for mi, chain in zip(t.m, d.chains()):
+        big = lcm(*(2 * k * (k + 1) for k in range(1, mi)))
+        num = sum(big // (2 * k * (k + 1)) * ((k + 1) * (x - dinf) - k * (y - dinf)) ** 2
+                  for k, y, x in zip(range(mi - 1, 0, -1), chain, chain[1:]))
+        total += Fraction(num, big)
     return total
 
 

@@ -203,16 +203,20 @@ class _ArmZp:
         return EnumerationCapExceeded(
             f"cap {cap} exceeded enumerating Z_p for {self.t}, p={self.p}")
 
-    def _block_sum(self, q: int, dprime: DimVector) -> Counter:
-        """Counter of (<d', dim X>, dim End X) over the triples of the block
-        (q, d'): the tallies of its arms' walks convolved under
-        R <= q - d'_0.  Kept per multiset of (arm length, arm path of
-        q*h - d'); a tally keeps no members."""
-        arms = tuple(sorted((mi, tuple(q - v for v in chain))
+    def _block(self, q: int, dprime: DimVector) -> tuple:
+        """The multiset of (arm length, arm path of q*h - d') of the block
+        (q, d'), sorted: all that its count reads."""
+        return tuple(sorted((mi, tuple(q - v for v in chain))
                             for mi, chain in zip(self.t.m, dprime.chains())))
+
+    def _block_sum(self, arms: tuple) -> tuple[Counter, int]:
+        """Counter of (<d', dim X>, dim End X) over the triples of a block
+        with ``arms`` as ``_block`` gives them, and its total: the tallies of
+        its arms' walks convolved under R <= q - d'_0, the first entry of
+        every arm path.  Kept per ``arms``; a tally keeps no members."""
         if arms in self.block_sums:
             return self.block_sums[arms]
-        bound = q - dprime.d0
+        bound = arms[0][1][0]
         acc = Counter({(0, 0, 0): 1})
         for arm in arms:
             if arm not in self.arm_tables:
@@ -224,28 +228,35 @@ class _ArmZp:
                     if r + ri <= bound:
                         step[r + ri, pair + pi, xx + xi] += count * ci
             acc = step
-        out = self.block_sums[arms] = Counter()
+        out = Counter()
         for (_, pair, xx), count in acc.items():
             out[pair, xx] += count
-        return out
+        self.block_sums[arms] = out, out.total()
+        return self.block_sums[arms]
 
     def key_counts(self, cap: int) -> Counter:
         """How many triples of blocks carry each (q, th, sd, pair, xx), counted
         by convolution without joining the arms.  The count needs no order,
         so one pass of enumerate_P(t, p) takes each d' at every level
-        q >= d'_0, and th and sd once.  Raises EnumerationCapExceeded once
-        the count passes ``cap``, as blocks does."""
-        keys, total = Counter(), 0
+        q >= d'_0, and th and sd once.  The pass counts how many (d', q)
+        share each (q, th, sd, block); each group then adds its block's
+        sum once, weighed by that number.  Raises EnumerationCapExceeded
+        once the count passes ``cap``, as blocks does."""
+        groups, total = Counter(), 0
         for dprime in cones.enumerate_P(self.t, self.p):
             if dprime.is_zero():
                 continue
             th, sd = dprime.d0 - dprime.dinf, forms.euler_quadratic(self.t, dprime)
             for q in range(dprime.d0, self.p + 1):
-                for (pair, xx), count in self._block_sum(q, dprime).items():
-                    keys[q, th, sd, pair, xx] += count
-                    total += count
+                arms = self._block(q, dprime)
+                groups[q, th, sd, arms] += 1
+                total += self._block_sum(arms)[1]
             if total > cap:
                 raise self._over(cap)
+        keys = Counter()
+        for (q, th, sd, arms), weight in groups.items():
+            for (pair, xx), count in self._block_sum(arms)[0].items():
+                keys[q, th, sd, pair, xx] += weight * count
         return keys
 
     def edge_triples(self, k: int) -> list[tuple]:
@@ -256,7 +267,7 @@ class _ArmZp:
         for q, dprime in self.heads():
             if len(head) < k:
                 head += [(q, dprime, leaf) for leaf in self.leaves(q, dprime)[:k - len(head)]]
-            tail.append((q, dprime, self._block_sum(q, dprime).total()))
+            tail.append((q, dprime, self._block_sum(self._block(q, dprime))[1]))
             in_tail += tail[-1][2]
             while in_tail - tail[0][2] >= k:  # the fewest last blocks holding k triples
                 in_tail -= tail.popleft()[2]

@@ -1,4 +1,5 @@
 import ast
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -6,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from canalg import checks, oracle, zeroset, zpstream
-from canalg.cones import EnumerationCapExceeded
-from canalg.forms import CanonicalType
+from canalg.cones import EnumerationCapExceeded, in_P
+from canalg.forms import CanonicalType, basis_e
 
 
 def _assert_all_ok(results):
@@ -35,6 +36,91 @@ def test_wild_margin_suite_entry():
     _assert_all_ok(results)
     names = [r.name for r in results]
     assert any("wild-margin" in n for n in names)
+
+
+class _RandomOnly(random.Random):
+    """A Random that counts its random() calls and refuses every other draw."""
+
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+    def getrandbits(self, k):  # behind randint, randrange, choice and shuffle
+        raise AssertionError("a suite drew through getrandbits")
+
+
+def test_draws_read_random_once_per_coordinate():
+    for arms in ((2, 3, 7), (5, 5, 5, 5, 5)):
+        t = CanonicalType(arms)
+        rng = _RandomOnly(3)
+        checks._rand_vector(t, rng)
+        assert rng.calls == t.vertex_count
+        rng.calls = 0
+        checks._rand_P_vector(t, rng)
+        assert rng.calls == t.vertex_count
+        _assert_all_ok(checks.forms_suite(t, rng, 20) + checks.cones_suite(t, rng, 20))
+
+
+def test_same_seed_draws_the_same_vectors():
+    t = CanonicalType((2, 3, 7))
+
+    def draws(seed):
+        rng = random.Random(seed)
+        return [f(t, rng) for _ in range(50) for f in (checks._rand_vector, checks._rand_P_vector)]
+
+    assert draws(17) == draws(17) != draws(18)
+
+
+def test_rand_vector_covers_its_range():
+    t = CanonicalType((2, 2, 2))
+    rng = random.Random(4)
+    seen = Counter(x for _ in range(2000) for x in checks._rand_vector(t, rng).entries())
+    assert set(seen) == set(range(-12, 13))
+
+
+def test_rand_P_vector_lies_in_P_below_the_top():
+    rng = random.Random(5)
+    for arms in ((2, 2, 2), (2, 3, 7), (5, 5, 5, 5, 5)):
+        t = CanonicalType(arms)
+        for _ in range(500):
+            d = checks._rand_P_vector(t, rng)
+            assert in_P(t, d) and 0 <= d.dinf < d.d0 <= 9, d
+
+
+def _forms_results(t):
+    return {r.name: r for r in checks.forms_suite(t, random.Random(0), 50)}
+
+
+def test_pairing_e_catches_a_form_wrong_on_one_tube_simple(monkeypatch):
+    # wrong only when e_(2,1) is the first argument: one of the 2*|m| pairings
+    t = CanonicalType((2, 3, 4))
+    bad, form = basis_e(t, 2, 1), checks.euler_form
+    monkeypatch.setattr(checks, "euler_form",
+                        lambda t, x, y: form(t, x, y) + (x == bad))
+    got = _forms_results(t)
+    assert not got[f"forms/pairing-e[{t}]"].ok
+    assert got[f"forms/pairing-e[{t}]"].details.startswith("<e_(2,1), d> wrong for d=")
+    assert got[f"forms/pairing-h[{t}]"].ok
+
+
+def test_pairings_make_every_form_call(monkeypatch):
+    # per sample, pairing-h calls the form twice and pairing-e 2*|m| times
+    t = CanonicalType((2, 3, 4))
+    calls, form = [], checks.euler_form
+    monkeypatch.setattr(checks, "euler_form", lambda *a: calls.append(a) or form(*a))
+    _forms_results(t)
+    assert len(calls) == 50 * (2 + 2 * t.total)
+
+
+def test_decomposition_check_catches_a_half(monkeypatch):
+    t = CanonicalType((2, 3, 4))
+    quadratic = checks.quadratic_via_decomposition
+    assert _forms_results(t)[f"forms/decomposition[{t}]"].ok
+    monkeypatch.setattr(checks, "quadratic_via_decomposition",
+                        lambda t, d: quadratic(t, d) + Fraction(1, 2))
+    assert not _forms_results(t)[f"forms/decomposition[{t}]"].ok
 
 
 def test_stats_shape():

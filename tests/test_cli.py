@@ -122,6 +122,13 @@ def test_verify_rejects_empty_runs(capsys, option, value):
     assert err == f"error: {option} must be >= 1, got {value}\n"
 
 
+@pytest.mark.parametrize("value", [str(cli.MAX_SAMPLES + 1), "100000000"])
+def test_verify_refuses_samples_past_the_ceiling(capsys, value):
+    code, out, err = run(capsys, "verify", "--type", "2,2,2", "--samples", value)
+    assert (code, out) == (2, "")
+    assert err == f"error: --samples must be <= 100000, got {value}\n"
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_components_rejects_cap_below_one(capsys, cap):
     code, out, err = run(capsys, "components", "--type", "2,3,7", "--p", "3", "--cap", cap)
@@ -204,10 +211,14 @@ def test_level_zero_exits_2(capsys, command):
     (("--lambdas", "1,1"), "tube parameters must be pairwise distinct, got 1, 1"),
     (("--sizes", "46"), "--sizes must be <= 45, got 46"),
     (("--sizes", "1000"), "--sizes must be <= 45, got 1000"),
+    (("--type", "200,200,200", "--full"),
+     "--full solves (2*600)^2 = 1440000 Hom systems between tube modules, more than 810000"),
+    (("--type", "451,2,2", "--full", "--sizes", "1"),
+     "--full solves (2*455)^2 = 828100 Hom systems"),
 ])
 def test_oracle_bad_input_exits_2(capsys, extra, message):
     arms = "2,2,2,2" if "--lambdas" in extra else "2,2,2"
-    code, out, err = run(capsys, "oracle", "--type", arms, *extra)
+    code, out, err = run(capsys, "oracle", "--type", arms, *extra)  # a later --type wins
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1

@@ -192,6 +192,30 @@ def test_dim_vector_arithmetic():
     assert basis_einf(T222).entry(2, 2) == 1
 
 
+def test_operators_build_normalised_vectors():
+    # the operators skip __post_init__, so their results must still be plain
+    # ints in tuples, equal and hashing equal to a constructed vector
+    a, b = DimVector(3, 1, ((2,), (3,), (1,))), basis_h(T222)
+    for got, want in ((a + b, DimVector(4, 2, ((3,), (4,), (2,)))),
+                      (a - b, DimVector(2, 0, ((1,), (2,), (0,)))),
+                      (3 * a, DimVector(9, 3, ((6,), (9,), (3,)))),
+                      (a * True, a)):
+        assert got == want and hash(got) == hash(want)
+        assert sorted(vars(got)) == ["arms", "d0", "dinf"]
+        assert type(got.arms) is tuple and all(type(arm) is tuple for arm in got.arms)
+        assert all(type(x) is int for x in got.entries())
+
+
+def test_scalar_multiple_refuses_non_integer_scalars():
+    # a half of h, or 2.5 times it, would otherwise truncate every coordinate
+    h = basis_h(T222)
+    for c in (Fraction(1, 2), 2.5, Fraction(2), 2.0, "2"):
+        with pytest.raises(TypeError):
+            c * h
+        with pytest.raises(TypeError):
+            h * c
+
+
 def test_text_form_round_trip():
     text = "42;21/28,14/36,30,24,18,12,6;0"
     assert format_dim_vector(parse_dim_vector(text)) == text
