@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from . import geometry, oracle, zeroset
-from .cones import decompose_slope_one, in_P, in_Q
-from .forms import (CanonicalType, DimVector, a_dim, basis_e, basis_e0, basis_h,
+from . import geometry, oracle
+from .cones import DEFAULT_ZCAP, decompose_slope_one, in_P, in_Q
+from .forms import (CanonicalType, DimVector, _Value, a_dim, basis_e, basis_e0, basis_h,
                     euler_form, euler_quadratic, gl_dim,
                     quadratic_lower_bound, quadratic_via_decomposition,
                     slope_one_vector, zero_vector)
@@ -24,11 +23,14 @@ from .tubes import (RegularModuleClass, TubeIndec, dim_vector, end_dim,
                     hom_dim_tube, hom_to_simple_nonzero, top_index)
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    details: str = ""
+class CheckResult(_Value):
+    """One named check: whether it passed, and its first counterexample."""
+
+    __slots__ = _fields = ("name", "ok", "details")
+    __hash__ = None
+
+    def __init__(self, name: str, ok: bool, details: str = "") -> None:
+        self._set(name, ok, details)
 
 
 def _first(name: str, failures: Iterator[str]) -> CheckResult:
@@ -280,6 +282,7 @@ def _key_levels(t: CanonicalType, pmax: int, keys: Counter) -> Iterator[tuple]:
     """Per key (q, th, sd, pair, xx) of ``keys`` and level p in [q, pmax]:
     the key, its count, p, the deficiency and whether the key is plus and flat.
     The conditions read only the key, so each is taken once per key and level."""
+    from . import zeroset  # here and in the zero-set suite only: oracle never loads it
     a_ph = {p: a_dim(t, p * basis_h(t)) for p in range(1, pmax + 1)}
     tgt = {p: zeroset.target_zero_dim(t, p) for p in range(1, pmax + 1)}
     for key, count in keys.items():
@@ -317,7 +320,8 @@ def _first_split(t: CanonicalType, p: int, keys: Counter) -> str:
 
 
 def zeroset_suite(t: CanonicalType, pmax: int = 4,
-                  cap: int = zeroset.DEFAULT_ZCAP) -> list[CheckResult]:
+                  cap: int = DEFAULT_ZCAP) -> list[CheckResult]:
+    from . import zeroset
     out = []
     if 0 < t.delta < 1:
         thr = zeroset.zeroset_threshold(t)
@@ -463,15 +467,16 @@ def oracle_suite(t: CanonicalType, lam: oracle.LambdaChoice | None = None,
 
 
 def run_all(t: CanonicalType, pmax: int = 4, seed: int = 0, samples: int = 1000,
-            cap: int = zeroset.DEFAULT_ZCAP) -> list[CheckResult]:
+            cap: int = DEFAULT_ZCAP) -> list[CheckResult]:
     """Every suite applicable to the type, with seeded randomness; the zero-set
     suite raises EnumerationCapExceeded past `cap` triples."""
+    from .zeroset import BRUTE_P_LIMIT
     rng = random.Random(seed)
     results = []
     results += forms_suite(t, rng, samples)
     results += cones_suite(t, rng, samples)
     results += geometry_suite(t, pmax)
     results += tubes_suite(t)
-    results += zeroset_suite(t, min(pmax, zeroset.BRUTE_P_LIMIT), cap=cap)
+    results += zeroset_suite(t, min(pmax, BRUTE_P_LIMIT), cap=cap)
     results += oracle_suite(t)
     return results

@@ -11,15 +11,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 # Each handler imports the modules only it runs, so a short query skips the rest.
 from . import geometry
 from .cones import DEFAULT_CAP, DEFAULT_ZCAP, EnumerationCapExceeded
 from .forms import CanonicalType, euler_quadratic, format_dim_vector
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 
 def _rational(option: str, text: str) -> Fraction:
+    from fractions import Fraction  # here, so the level queries never load it
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -156,6 +160,12 @@ MAX_ORACLE_SIZES = 45
 # of its 2*|m| modules: on the same host `--type 150,150,150 --full --sizes 1`
 # (810,000 systems) took 52 s, `120,120,120` (518,400) 25 s.
 MAX_ORACLE_PAIRS = 810_000
+# Most unknowns `oracle --full` takes in the Hom systems between its
+# homogeneous modules: Hom(J_s, J_s') has s*s' unknowns at each of the V
+# vertices, V*(S(S+1)/2)^2 over all s, s' <= S = --sizes.  The bound is its
+# value at 2,3,4 --sizes 45 (V = 8), so long arms get fewer sizes: 40,40,40
+# (V = 119) stops at --sizes 22, which took 32 s on the host above.
+MAX_ORACLE_UNKNOWNS = 8 * (45 * 46 // 2) ** 2
 
 
 def cmd_oracle(args) -> int:
@@ -168,6 +178,11 @@ def cmd_oracle(args) -> int:
     if args.full and pairs > MAX_ORACLE_PAIRS:
         raise ValueError(f"--full solves (2*{t.total})^2 = {pairs} Hom systems between "
                          f"tube modules, more than {MAX_ORACLE_PAIRS}")
+    unknowns = t.vertex_count * (args.sizes * (args.sizes + 1) // 2) ** 2
+    if args.full and unknowns > MAX_ORACLE_UNKNOWNS:
+        raise ValueError(f"--full solves Hom systems between homogeneous modules with "
+                         f"{t.vertex_count}*({args.sizes}*{args.sizes + 1}/2)^2 = {unknowns} "
+                         f"unknowns, more than {MAX_ORACLE_UNKNOWNS}")
     if args.lambdas is not None:
         lam = oracle.LambdaChoice(tuple(_rational("--lambdas", x)
                                         for x in args.lambdas.split(",")))
@@ -232,11 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu", default=None,
                     help="homogeneous parameter (rational, off the tube points)")
     sp.add_argument("--sizes", type=int, default=3,
-                    help="largest homogeneous quasi-length to build, at most "
+                    help="largest homogeneous quasi-length S to build, at most "
                          f"{MAX_ORACLE_SIZES}; the full battery solves an exact Hom system "
-                         "per pair of them, with unknowns growing as the product of their "
-                         "sizes: the full 2,3,4 battery takes about 1 s at 15, 4 s at 20 "
-                         f"and 55 s at {MAX_ORACLE_SIZES}")
+                         "per pair of them, with V*(S(S+1)/2)^2 unknowns in all on the V "
+                         f"vertices, refused past {MAX_ORACLE_UNKNOWNS:,} (2,3,4 at "
+                         f"{MAX_ORACLE_SIZES}, 40,40,40 at 22): the full 2,3,4 battery takes "
+                         f"about 1 s at 15, 4 s at 20 and 55 s at {MAX_ORACLE_SIZES}, "
+                         "40,40,40 about 32 s at 22")
     sp.add_argument("--full", action="store_true",
                     help="force the full pairwise Hom battery: one exact Hom system per "
                          "pair of the 2*|m| tube modules, refused past "

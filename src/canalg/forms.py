@@ -1,13 +1,14 @@
 """Exact arithmetic core: star-shaped types, dimension vectors, and the
 Ringel bilinear form.
 
-Everything here works over arbitrary-precision integers and `fractions.Fraction`;
-no value is ever rounded.  A type is the sequence of arm lengths
-``(m_1, ..., m_n)``; the vertex set consists of the source vertex ``0``, the
-sink vertex ``inf`` and the interior arm vertices ``(i, j)`` with
-``j in [1, m_i - 1]``.  Dimension vectors store interior coordinates only; the
-boundary values ``d_{i,0} = d_0`` and ``d_{i,m_i} = d_inf`` are views, so the
-usual index convention cannot drift out of sync.
+Everything here works over arbitrary-precision integers and `fractions.Fraction`
+(imported where a Fraction is made); no value is ever rounded.  A type is the
+sequence of arm lengths ``(m_1, ..., m_n)``; the vertex set consists of the
+source vertex ``0``, the sink vertex ``inf`` and the interior arm vertices
+``(i, j)`` with ``j in [1, m_i - 1]``.  Dimension vectors store interior
+coordinates only; the boundary values ``d_{i,0} = d_0`` and
+``d_{i,m_i} = d_inf`` are views, so the usual index convention cannot drift
+out of sync.
 
 This module alone owns the vertex layout.  Each arm is read as its vertex path
 ``0, (i,1), ..., (i,m_i-1), inf``: ``DimVector.chains`` gives the values along
@@ -17,28 +18,75 @@ of a path has.  Every other module reads vectors through these.  The hot
 readers (the form, the shape test, ``DimVector.entry`` and the cone tests
 ``cones.in_P``/``in_Q``) read the stored ``d0``, ``dinf`` and ``arms`` instead,
 building no per-arm tuple; ``chains`` is the view for everything else.
+
+The package's value classes derive from ``_Value``, a few lines of plain
+Python, because the standard library's class generator imports ``inspect``,
+``ast`` and ``dis``, which cost a level query more time than its answer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property
 from itertools import pairwise
 from math import lcm, prod
-from operator import index as _index, mul
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter, index as _index, mul
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class CanonicalType:
-    """Arm-length sequence of a canonical algebra, with derived invariants."""
+class _Value:
+    """Base of a value class whose fields ``_fields`` names: ``==`` and
+    ``hash`` over the field tuple, ``repr`` as ``Name(field=value, ...)``, and
+    no assignment after ``__init__``, which sets the fields through ``_set``
+    (or ``object.__setattr__``).  A subclass that is not to be hashed sets
+    ``__hash__ = None``."""
 
-    m: tuple[int, ...]
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        m = tuple(int(x) for x in self.m)
-        object.__setattr__(self, "m", m)
+    def __init_subclass__(cls) -> None:
+        # an attrgetter of two or more names gives the field tuple
+        get = attrgetter(*cls._fields)
+        cls._astuple = get if len(cls._fields) > 1 else staticmethod(lambda x: (get(x),))
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            get = self._astuple
+            return get(self) == get(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._astuple(self)
+
+
+class CanonicalType(_Value):
+    """Arm-length sequence of a canonical algebra, with derived invariants.
+    No ``__slots__``: the cached properties keep their values in ``__dict__``."""
+
+    _fields = ("m",)
+
+    def __init__(self, m: tuple[int, ...]) -> None:
+        m = tuple(int(x) for x in m)
+        self._set(m)
         if len(m) < 3:
             raise ValueError(f"need at least 3 arms, got {len(m)}")
         if any(x < 2 for x in m):
@@ -71,12 +119,13 @@ class CanonicalType:
 
     @cached_property
     def sum_reciprocals(self) -> Fraction:
+        from fractions import Fraction  # here, so the level queries never load it
         return sum((Fraction(1, mi) for mi in self.m), Fraction(0))
 
     @cached_property
     def delta(self) -> Fraction:
         """The invariant (n - 2 - sum 1/m_i) / 2 controlling representation type."""
-        return Fraction(self.n - 2, 2) - self.sum_reciprocals / 2
+        return (self.n - 2 - self.sum_reciprocals) / 2
 
     @property
     def vertex_count(self) -> int:
@@ -107,8 +156,7 @@ class CanonicalType:
         return ",".join(str(x) for x in self.m)
 
 
-@dataclass(frozen=True)
-class DimVector:
+class DimVector(_Value):
     """Integer vector on the star-shaped vertex set.
 
     ``arms[i-1]`` holds the interior values ``(d_{i,1}, ..., d_{i,m_i-1})``;
@@ -116,14 +164,11 @@ class DimVector:
     so ``entry(i, 0)`` and ``entry(i, m_i)`` resolve to ``d0`` and ``dinf``.
     """
 
-    d0: int
-    dinf: int
-    arms: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("d0", "dinf", "arms")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "arms", tuple(tuple(map(int, a)) for a in self.arms))
-        object.__setattr__(self, "d0", int(self.d0))
-        object.__setattr__(self, "dinf", int(self.dinf))
+    def __init__(self, d0: int, dinf: int, arms: tuple[tuple[int, ...], ...]) -> None:
+        arms = tuple(tuple(map(int, a)) for a in arms)
+        self._set(int(d0), int(dinf), arms)
 
     @classmethod
     def from_entries(cls, t: CanonicalType, flat: Iterable[int]) -> "DimVector":
@@ -195,9 +240,8 @@ class DimVector:
 
 def _normalised(d0: int, dinf: int, arms: tuple[tuple[int, ...], ...]) -> DimVector:
     """The DimVector of coordinates that are ints already, as the operators'
-    results are, built without __post_init__'s second normalising pass.  Its
-    fields are set one by one, as the dataclass __init__ sets them: filling
-    ``__dict__`` would give each vector a dict of its own."""
+    results are, built without __init__'s normalising pass; the fields are
+    set one by one, not through ``_set``'s loop, as vector arithmetic is hot."""
     new = object.__new__(DimVector)
     object.__setattr__(new, "d0", d0)
     object.__setattr__(new, "dinf", dinf)
@@ -298,6 +342,7 @@ def quadratic_via_decomposition(t: CanonicalType, d: DimVector) -> Fraction:
     summed as integers over their lcm.  Must agree exactly with
     euler_quadratic on every integer vector.
     """
+    from fractions import Fraction
     _check_shape(t, d)
     dinf = d.dinf
     s = d.d0 - dinf

@@ -15,7 +15,6 @@ parameter lambda corresponds to (-lambda : 1), the point at infinity to
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, pairwise
@@ -26,19 +25,18 @@ from typing import Iterator, Mapping
 
 from . import linalg
 from .cones import in_P, in_Q
-from .forms import CanonicalType, DimVector, basis_e, basis_h, format_dim_vector
+from .forms import CanonicalType, DimVector, _Value, basis_e, basis_h, format_dim_vector
 from .linalg import Matrix
 
 
-@dataclass(frozen=True)
-class LambdaChoice:
+class LambdaChoice(_Value):
     """The pairwise distinct nonzero parameters lambda_3, ..., lambda_n."""
 
-    lambdas: tuple[Fraction, ...]
+    __slots__ = _fields = ("lambdas",)
 
-    def __post_init__(self) -> None:
-        vals = tuple(Fraction(x) for x in self.lambdas)
-        object.__setattr__(self, "lambdas", vals)
+    def __init__(self, lambdas: tuple[Fraction, ...]) -> None:
+        vals = tuple(Fraction(x) for x in lambdas)
+        self._set(vals)
         if any(v == 0 for v in vals):
             raise ValueError("tube parameters must be nonzero")
         if len(set(vals)) != len(vals):
@@ -70,37 +68,37 @@ def _arrows(d: DimVector) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
             yield (i, j), shape
 
 
-@dataclass(frozen=True)
-class MatrixRep:
+class MatrixRep(_Value):
     """Arrow matrices over exact rationals, one per arrow (i, j), j in [1, m_i].
 
     The matrix at (i, j) maps the space at vertex (i, j) to the space at
     (i, j - 1) and therefore has shape d_{i,j-1} x d_{i,j}; arrows left out
     of ``mats`` carry the zero matrix.  Construction copies ``mats`` into a
-    read-only mapping of tuples and checks every shape once.
+    read-only mapping of tuples and checks every shape once.  Besides its
+    fields a rep keeps two caches, which ``==``, ``hash`` and ``repr`` skip:
+    ``_relations`` (check_relations' verdict per LambdaChoice) and
+    ``_cleared`` (see ``cleared``).
     """
 
-    t: CanonicalType
-    dim: DimVector
-    mats: Mapping[tuple[int, int], Matrix] = field(default_factory=dict)
-    _relations: dict[LambdaChoice, bool] = field(
-        init=False, repr=False, compare=False, default_factory=dict)
-    _cleared: dict[tuple[int, int], tuple[int, tuple[tuple[int, ...], ...]]] = field(
-        init=False, repr=False, compare=False, default_factory=dict)
+    _fields = ("t", "dim", "mats")
+    __slots__ = (*_fields, "_relations", "_cleared")
 
-    def __post_init__(self) -> None:
-        if not self.dim.matches(self.t):
+    def __init__(self, t: CanonicalType, dim: DimVector,
+                 mats: Mapping[tuple[int, int], Matrix] = MappingProxyType({})) -> None:
+        if not dim.matches(t):
             raise ValueError("dimension vector does not fit the type")
-        shapes = dict(_arrows(self.dim))
-        if not self.mats.keys() <= shapes.keys():
-            raise ValueError(f"matrices must sit on the arrows of type {self.t}")
-        mats = {arrow: tuple(map(tuple, self.mats.get(arrow, linalg.zeros(*shape))))
+        shapes = dict(_arrows(dim))
+        if not mats.keys() <= shapes.keys():
+            raise ValueError(f"matrices must sit on the arrows of type {t}")
+        full = {arrow: tuple(map(tuple, mats.get(arrow, linalg.zeros(*shape))))
                 for arrow, shape in shapes.items()}
-        for (i, j), m in mats.items():
+        for (i, j), m in full.items():
             rows, cols = shapes[(i, j)]
             if len(m) != rows or any(map(cols.__ne__, map(len, m))):
                 raise ValueError(f"matrix at arrow ({i},{j}) must be {rows}x{cols}")
-        object.__setattr__(self, "mats", MappingProxyType(mats))
+        self._set(t, dim, MappingProxyType(full))
+        object.__setattr__(self, "_relations", {})
+        object.__setattr__(self, "_cleared", {})
 
     def mat(self, i: int, j: int) -> Matrix:
         return self.mats[(i, j)]

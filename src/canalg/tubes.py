@@ -11,27 +11,24 @@ target, one dimension per admissible segment length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .forms import CanonicalType, DimVector
+from .forms import CanonicalType, DimVector, _Value
 
 
-@dataclass(frozen=True)
-class TubeIndec:
+class TubeIndec(_Value):
     """Indecomposable in an exceptional tube: arm index, socle index, quasi-length."""
 
-    arm: int
-    socle: int
-    qlen: int
+    __slots__ = _fields = ("arm", "socle", "qlen")
 
-    def __post_init__(self) -> None:
-        if self.arm < 1:
-            raise ValueError(f"arm index must be >= 1, got {self.arm}")
-        if self.socle < 0:
-            raise ValueError(f"socle index must be >= 0, got {self.socle}")
-        if self.qlen < 1:
-            raise ValueError(f"quasi-length must be >= 1, got {self.qlen}")
+    def __init__(self, arm: int, socle: int, qlen: int) -> None:
+        if arm < 1:
+            raise ValueError(f"arm index must be >= 1, got {arm}")
+        if socle < 0:
+            raise ValueError(f"socle index must be >= 0, got {socle}")
+        if qlen < 1:
+            raise ValueError(f"quasi-length must be >= 1, got {qlen}")
+        self._set(arm, socle, qlen)
 
     def check_against(self, t: CanonicalType) -> None:
         mi = t.arm_length(self.arm)
@@ -54,15 +51,13 @@ def parse_tube_indec(text: str) -> TubeIndec:
     return TubeIndec(i, a, l)
 
 
-@dataclass(frozen=True)
-class RegularModuleClass:
+class RegularModuleClass(_Value):
     """Isomorphism class of a direct sum of exceptional-tube indecomposables."""
 
-    members: tuple[TubeIndec, ...]
+    __slots__ = _fields = ("members",)
 
-    def __post_init__(self) -> None:
-        canon = tuple(sorted(self.members, key=TubeIndec.sort_key))
-        object.__setattr__(self, "members", canon)
+    def __init__(self, members: tuple[TubeIndec, ...]) -> None:
+        self._set(tuple(sorted(members, key=TubeIndec.sort_key)))
 
     def __iter__(self):
         return iter(self.members)

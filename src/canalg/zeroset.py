@@ -20,7 +20,6 @@ one walk per exceptional tube.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, pairwise
 from math import prod
@@ -28,7 +27,7 @@ from typing import Iterator
 
 from . import geometry
 from .cones import DEFAULT_ZCAP, in_P, in_Q
-from .forms import (CanonicalType, DimVector, a_dim, basis_e, basis_h,
+from .forms import (CanonicalType, DimVector, _Value, a_dim, basis_e, basis_h,
                     euler_form, euler_quadratic, format_dim_vector)
 from .tubes import (RegularModuleClass, TubeIndec, dim_vector, end_dim,
                     hom_to_simple_nonzero)
@@ -44,14 +43,14 @@ class OutsideProvenRange(ValueError):
     """Raised for requests not covered by the proved closed-form bounds."""
 
 
-@dataclass(frozen=True)
-class ZTriple:
+class ZTriple(_Value):
     """Stratum label (d', d'', [X]) at level q."""
 
-    dprime: DimVector
-    ddouble: DimVector
-    xclass: RegularModuleClass
-    q: int
+    __slots__ = _fields = ("dprime", "ddouble", "xclass", "q")
+
+    def __init__(self, dprime: DimVector, ddouble: DimVector, xclass: RegularModuleClass,
+                 q: int) -> None:
+        self._set(dprime, ddouble, xclass, q)
 
     def is_member(self, t: CanonicalType, p: int) -> bool:
         """Re-check the defining conditions against type t at level p."""
@@ -301,8 +300,7 @@ def zeroset_is_ci(t: CanonicalType, p: int) -> bool:
     return _decide(t, p) is None
 
 
-@dataclass(frozen=True)
-class ZeroSetReport:
+class ZeroSetReport(_Value):
     """Summary of the zero-set analysis at level p.
 
     ``answered_by`` names the route of the CI decision ("closed_form"),
@@ -313,14 +311,14 @@ class ZeroSetReport:
     delta <= 0 (domestic and tubular types), p >= threshold for wild ones.
     """
 
-    p: int
-    is_ci: bool
-    component_count: int | None
-    threshold: int
-    target_dim: int
-    answered_by: str
-    component_count_from: str | None
-    witness: ZTriple | None
+    __slots__ = _fields = ("p", "is_ci", "component_count", "threshold", "target_dim",
+                           "answered_by", "component_count_from", "witness")
+
+    def __init__(self, p: int, is_ci: bool, component_count: int | None, threshold: int,
+                 target_dim: int, answered_by: str, component_count_from: str | None,
+                 witness: ZTriple | None) -> None:
+        self._set(p, is_ci, component_count, threshold, target_dim, answered_by,
+                  component_count_from, witness)
 
     @classmethod
     def compute(cls, t: CanonicalType, p: int) -> "ZeroSetReport":

@@ -163,6 +163,23 @@ def test_equality_strata_failure_names_a_key_that_splits():
     assert checks._first_split(t, 4, keys) == ""
 
 
+@pytest.mark.parametrize("arms, pmax", [((2, 2, 2), 6), ((2, 2, 3), 4), ((2, 3, 3), 4),
+                                        ((2, 2, 2, 2), 5)])
+def test_equality_strata_split_only_where_the_deficiency_allows(arms, pmax):
+    # For p > n and <d',h> >= 2 the deficiency
+    # (p-q)<d',h> + (p-n)(<d',h>-1) + <d',d'> - 1 is 0 only at q = p,
+    # <d',h> = 2, <d',d'> = 0 and p = n + 1, so a key flat but not plus at
+    # p > n can only be one of those; today that is (5, 2, 0, 0, 0) at
+    # (2,2,2,2), p = 5.  The count is not pinned, so settling which side is
+    # right keeps this true.
+    t = CanonicalType(arms)
+    keys = zpstream._ArmZp(t, pmax).key_counts(10**9)
+    for (q, th, sd, _, _), _, p, _, plus, flat in checks._key_levels(t, pmax, keys):
+        if p > t.n and plus != flat:
+            assert flat and not plus, (q, th, sd, p)
+            assert (th, sd, p) == (2, 0, t.n + 1), (q, th, sd, p)
+
+
 @pytest.mark.parametrize("arms, pmax", [((2, 2, 2), 2), ((2, 2, 2), 3), ((2, 2, 2, 2), 3)])
 def test_membership_recheck_reads_the_ends_of_strata(monkeypatch, arms, pmax):
     # Z_2 of (2,2,2) holds 94 triples, so its head and tail overlap

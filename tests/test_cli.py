@@ -215,6 +215,10 @@ def test_level_zero_exits_2(capsys, command):
      "--full solves (2*600)^2 = 1440000 Hom systems between tube modules, more than 810000"),
     (("--type", "451,2,2", "--full", "--sizes", "1"),
      "--full solves (2*455)^2 = 828100 Hom systems"),
+    (("--type", "40,40,40", "--full", "--sizes", "23"),
+     "--full solves Hom systems between homogeneous modules with 119*(23*24/2)^2 = 9064944 "
+     "unknowns, more than 8569800"),
+    (("--type", "2,3,7", "--full", "--sizes", "45"), "--full solves Hom systems between"),
 ])
 def test_oracle_bad_input_exits_2(capsys, extra, message):
     arms = "2,2,2,2" if "--lambdas" in extra else "2,2,2"
@@ -349,12 +353,19 @@ def fresh_python(code: str, *argv: str) -> str:
     return proc.stdout
 
 
+# The modules a query adds to those the interpreter and its site hooks loaded:
+# the import of canalg.cli and the run of main.
 LOADED_BY_QUERY = ("import contextlib, io, sys\n"
+                   "before = set(sys.modules)\n"
                    "import canalg.cli\n"
                    "with contextlib.redirect_stdout(io.StringIO()):\n"
                    "    code = canalg.cli.main(sys.argv[1:])\n"
-                   "print(code, *sorted(m for m in sys.modules if m.startswith('canalg.')))\n")
+                   "print(code, *sorted(set(sys.modules) - before))\n")
 LEVEL_MODULES = {"canalg.cli", "canalg.cones", "canalg.forms", "canalg.geometry"}
+SUITE_MODULES = LEVEL_MODULES | {"canalg.checks", "canalg.linalg", "canalg.oracle", "canalg.tubes"}
+# dataclasses brings inspect, ast, dis and tokenize; fractions brings decimal
+NEVER_LOADED = {"dataclasses", "inspect"}
+LEVEL_NEVER_LOADED = NEVER_LOADED | {"fractions", "decimal"}
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -364,12 +375,18 @@ LEVEL_MODULES = {"canalg.cli", "canalg.cones", "canalg.forms", "canalg.geometry"
     (("classify", "--type", "2,2,2"), LEVEL_MODULES | {"canalg.tubes", "canalg.zeroset"}),
     (("zeroset", "--type", "2,2,2", "--p", "4"),
      LEVEL_MODULES | {"canalg.tubes", "canalg.zeroset"}),
-], ids=["ci", "components", "witness", "classify", "zeroset"])
+    (("verify", "--type", "2,2,2", "--pmax", "2", "--samples", "10"),
+     SUITE_MODULES | {"canalg.zeroset", "canalg.zpstream"}),
+    (("oracle", "--type", "2,2,2"), SUITE_MODULES),
+], ids=["ci", "components", "witness", "classify", "zeroset", "verify", "oracle"])
 def test_subcommand_loads_only_its_modules(argv, loaded):
-    # checks, oracle, linalg and zpstream belong to verify and oracle alone
-    code, *modules = fresh_python(LOADED_BY_QUERY, *argv).split()
+    # checks, oracle, linalg and zpstream belong to verify and oracle alone,
+    # and oracle never reaches zeroset or zpstream
+    code, *added = fresh_python(LOADED_BY_QUERY, *argv).split()
     assert code == "0"
-    assert set(modules) == loaded
+    assert {m for m in added if m.startswith("canalg.")} == loaded
+    never = LEVEL_NEVER_LOADED if loaded == LEVEL_MODULES else NEVER_LOADED
+    assert not never & set(added)
 
 
 def test_bare_import_loads_no_submodule():
