@@ -283,16 +283,12 @@ def _key_levels(t: CanonicalType, pmax: int, keys: Counter) -> Iterator[tuple]:
     the key, its count, p, the deficiency and whether the key is plus and flat.
     The conditions read only the key, so each is taken once per key and level."""
     from . import zeroset  # here and in the zero-set suite only: oracle never loads it
-    a_ph = {p: a_dim(t, p * basis_h(t)) for p in range(1, pmax + 1)}
-    tgt = {p: zeroset.target_zero_dim(t, p) for p in range(1, pmax + 1)}
     for key, count in keys.items():
         q, th, sd, pair, xx = key
         for p in range(q, pmax + 1):
-            d = zeroset._deficiency(t, p, q, th, sd)
-            plus = zeroset._is_equality(t, p, q, th, pair, xx)
-            flat = d == 0 and a_ph[p] - zeroset._stratum_codim(
-                p, q, th, sd, pair, xx) == tgt[p]
-            yield key, count, p, d, plus, flat
+            yield (key, count, p, zeroset._deficiency(t, p, q, th, sd),
+                   zeroset._is_equality(t, p, q, th, pair, xx),
+                   zeroset._is_flat(t, p, q, th, sd, pair, xx))
 
 
 def _level_tally(t: CanonicalType, pmax: int, keys: Counter) -> Counter:

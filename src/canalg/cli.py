@@ -3,13 +3,15 @@
 One process, one query.  Results go to stdout (text or JSON), diagnostics to
 stderr.  Exit codes: 0 success, 1 a checked property failed, 2 invalid input
 or a request outside the proved range, 3 an internal error (a bug; the
-message names the exception).
+message names the exception), 141 (128 + SIGPIPE) the reader of stdout
+closed it before the answer was written, as ``| head -1`` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -277,7 +279,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return HANDLERS[args.command](args)
+        code = HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: point fd 1 at devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (EnumerationCapExceeded, ValueError) as exc:  # OutsideProvenRange is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

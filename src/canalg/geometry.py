@@ -9,35 +9,30 @@ sum of its m_i squared steps from s down to 0, minus s^2; steps summing to s
 have the least square sum when balanced, so the minimum is a closed form and
 the minimizing chains are the placements of the s mod m_i longer steps.
 
-Every level is decided from at most 2L slices, L = lcm(m) (_slice_candidates):
-all of [1, p] when p <= 2L, else [1, L] and [p - L + 1, p].  With s = q*m_i + r
-the arm minimum is (s^2 (1/m_i - 1) + r (m_i - r)/m_i) / 2, so the slice form
-is -delta*s^2 + rho(s mod L) with rho >= 0.  On a class s = r (mod L) in
-[1, p] the CI cost p*s + form, and the zero-set deficiency at q = p,
-(p - n)(s - 1) + form - 1, are quadratics in s.  For delta > 0 they are
-strictly concave, so each interior element of the class is strictly above
-the lesser end, and every least element is an end.  For delta <= 0,
-sum 1/m_i >= n - 2 and each 1/m_i <= 1/2 give n <= 4 <= 2L, so p > 2L gives
-p > n: both linear coefficients are positive and -delta >= 0, so along the
-class the cost strictly increases and the deficiency does not decrease, and
-the first element is least (for the cost, the only least one).  The first
-element of a class lies in [1, L] and its last in [p - L + 1, p].  So the set
-holds the exact least value of both; every slice of least cost, hence every
-tight slice when the least cost is 0 (none is tight when it is positive);
-and the smallest s of least deficiency, the zero-set witness, since for
-delta <= 0 the first element of a least element's class is least too, and no
-larger.
+Both level questions are the least of f(s) = a*s + form(s), form(s) the
+least <d, d> on slice s in [1, p]: the CI cost with a = p and the zero-set
+deficiency (zeroset._least_deficiency) with a = p - n.  _slice_minimum reads
+at most 2L slices, L = lcm(m) (_slice_candidates): all of [1, p] when
+p <= 2L, else [1, L] and [p - L + 1, p].  With s = q*m_i + r the arm minimum
+is (s^2 (1/m_i - 1) + r (m_i - r)/m_i) / 2, so form(s) = -delta*s^2 +
+rho(s mod L) with rho >= 0: on each class s = r (mod L) in [1, p], f is a
+quadratic in s.  For delta > 0 it is strictly concave, so every least
+element of a class is one of its ends.  For delta <= 0, sum 1/m_i >= n - 2
+and each 1/m_i <= 1/2 give n <= 4 <= 2L, so p > 2L gives a >= p - n > 0 and
+f strictly increases along each class: only its first element can be least.
+A class's first element lies in [1, L] and its last in [p - L + 1, p], so
+in both cases the candidates hold every least slice of f: the exact least
+cost, the tight slices (the least ones when the least cost is 0; none when
+it is positive) and the smallest s of least deficiency, the zero-set witness.
 
 The exhaustive reference (equality_levels_naive) checks that closed form
-against every vector of P.  It reads P once up to the top level, one block of
-fixed (d0, dinf) at a time: level p is the prefix of blocks with d0 <= p, so
-one pass answers every level.  Within a block the form is summed arm by arm,
-from one euler_quadratic call for the block's base and one per chain of each
-arm (the arms share no vertex and no arrow), and the per-vector sums run in
-C.  It stays independent of the closed form: it visits every d0, every dinf
-and every chain, tight or not, and reads no h-shift, no balanced-step
-argument and no list of tight slices; euler_form is its only evaluator of
-the form.
+against every vector of P, read once up to the top level one block of fixed
+(d0, dinf) at a time: level p is the prefix of blocks with d0 <= p.  Within
+a block the form is summed arm by arm (the arms share no vertex and no
+arrow), from one euler_quadratic call for the base and one per chain of each
+arm.  It visits every d0, dinf and chain, tight or not, and reads no h-shift,
+no balanced-step argument and no tight slice: euler_form is its only
+evaluator of the form.
 """
 
 from __future__ import annotations
@@ -81,10 +76,8 @@ def _arm_min(mi: int, s: int) -> int:
 
 
 def _arm_min_chains(mi: int, s: int) -> list[tuple[int, ...]]:
-    """All nonincreasing chains attaining the per-arm minimum, sorted.
-
-    One chain per placement of the s mod mi long steps among the mi steps.
-    """
+    """All nonincreasing chains attaining the per-arm minimum, one per placement
+    of the s mod mi long steps; lexicographic placements give them ascending."""
     q, r = divmod(s, mi)
     chains = []
     for longs in combinations(range(mi), r):
@@ -93,8 +86,13 @@ def _arm_min_chains(mi: int, s: int) -> list[tuple[int, ...]]:
             x -= q + (j in longs)
             chain.append(x)
         chains.append(tuple(chain))
-    chains.sort()
     return chains
+
+
+def _arm_first_chain(mi: int, s: int) -> tuple[int, ...]:
+    """The least chain of _arm_min_chains(mi, s), built alone: the long steps first."""
+    q, r = divmod(s, mi)
+    return tuple(s - j * q - min(j, r) for j in range(1, mi))
 
 
 def _slice_form(t: CanonicalType, s: int) -> int:
@@ -110,28 +108,36 @@ def _slice_candidates(t: CanonicalType, p: int) -> Iterator[int]:
     return chain(range(1, min(p, L) + 1), range(max(L, p - L) + 1, p + 1))
 
 
-def _slices(t: CanonicalType, p: int) -> tuple[int, list[int]]:
-    """Least slice cost and the tight slices, from _slice_candidates.
-
-    The cost of slice s is the minimum of <d, d> + p*s over d in P with
-    d0 = s and dinf = 0; a slice is tight when that minimum is 0.  The tight
-    list is complete whenever the least cost is >= 0, the only case that
-    reads it.
-    """
+def _slice_minimum(t: CanonicalType, p: int, a: int) -> tuple[int, list[int]]:
+    """Least a*s + _slice_form(t, s) over the slices s in [1, p] and every s
+    attaining it, ascending, from _slice_candidates, which hold all of them
+    for a = p and a = p - n (module docstring)."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    least, tight = p + 1, []  # the cost of slice 1, whose arms all cost 0
+    least, at = a + 1, []  # the value at slice 1, whose arms all cost 0
     for s in _slice_candidates(t, p):
-        cost = p * s + _slice_form(t, s)
-        least = min(least, cost)
-        if cost == 0:
-            tight.append(s)
-    return least, tight
+        value = a * s + _slice_form(t, s)
+        if value < least:
+            least, at = value, [s]
+        elif value == least:
+            at.append(s)
+    return least, at
 
 
-def _require_ci(t: CanonicalType, p: int, least: int) -> None:
+def _slices(t: CanonicalType, p: int) -> tuple[int, list[int]]:
+    """Least slice cost and the tight slices, those of cost 0, where the cost of
+    slice s is the least <d, d> + p*s over d in P with d0 = s and dinf = 0;
+    the tight list is complete when the least cost is >= 0, else empty."""
+    least, at = _slice_minimum(t, p, p)
+    return least, at if least == 0 else []
+
+
+def _ci_tight(t: CanonicalType, p: int) -> list[int]:
+    """The tight slices at level p; refuses a level that is not CI."""
+    least, tight = _slices(t, p)
     if least < 0:
         raise ValueError(f"variety for {t} at p={p} is not a complete intersection")
+    return tight
 
 
 def _count(t: CanonicalType, p: int, tight: list[int]) -> int:
@@ -149,11 +155,8 @@ def ci_summary(t: CanonicalType, p: int) -> dict:
 
 
 def ci_defect(t: CanonicalType, p: int) -> int:
-    """Minimum of <d, d> + p*(d0 - dinf) over d in P with d0 <= p.
-
-    The zero vector contributes 0, so the defect is never positive; it is 0
-    exactly when the variety at p*h is a complete intersection.
-    """
+    """Minimum of <d, d> + p*(d0 - dinf) over d in P with d0 <= p: never positive,
+    as the zero vector gives 0, and 0 exactly when the variety at p*h is CI."""
     return min(0, _slices(t, p)[0])
 
 
@@ -168,9 +171,7 @@ def is_normal(t: CanonicalType, p: int) -> bool:
 
 def component_count(t: CanonicalType, p: int) -> int:
     """Number of irreducible components, counted from the closed form without materializing."""
-    least, tight = _slices(t, p)
-    _require_ci(t, p, least)
-    return _count(t, p, tight)
+    return _count(t, p, _ci_tight(t, p))
 
 
 def irreducible_components(t: CanonicalType, p: int, cap: int = DEFAULT_CAP) -> list[DimVector]:
@@ -180,8 +181,7 @@ def irreducible_components(t: CanonicalType, p: int, cap: int = DEFAULT_CAP) -> 
     Each equality vector with dinf = 0 generates translates d + c*h for
     c in [0, p - d0], all of which attain equality as well.
     """
-    least, tight = _slices(t, p)
-    _require_ci(t, p, least)
+    tight = _ci_tight(t, p)
     count = _count(t, p, tight)
     if count > cap:
         raise EnumerationCapExceeded(f"component count {count} exceeds cap {cap}")

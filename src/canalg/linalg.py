@@ -45,23 +45,10 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb, strict=True))
+def combine(a: Matrix, c, b: Matrix) -> Matrix:
+    """a + c*b for a scalar c and matrices a and b of one shape."""
+    return tuple(tuple(x + c * y for x, y in zip(ra, rb, strict=True))
                  for ra, rb in zip(a, b, strict=True))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb, strict=True))
-                 for ra, rb in zip(a, b, strict=True))
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def is_zero(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
 
 
 def block_diag(a: Matrix, b: Matrix, acols: int, bcols: int) -> Matrix:

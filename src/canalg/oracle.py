@@ -138,7 +138,7 @@ class MatrixRep(_Value):
 
 
 def check_relations(t: CanonicalType, lam: LambdaChoice, rep: MatrixRep) -> bool:
-    """Exact zero test of C1 + lambda_i*C2 - Ci for every i in [3, n].
+    """Exact test of Ci = C1 + lambda_i*C2 for every i in [3, n].
 
     The verdict is computed once per lambda and kept in ``rep._relations``;
     a representation of another type raises ValueError.
@@ -149,8 +149,7 @@ def check_relations(t: CanonicalType, lam: LambdaChoice, rep: MatrixRep) -> bool
     if lam not in rep._relations:
         c1, c2 = rep.composition(1), rep.composition(2)
         rep._relations[lam] = all(
-            linalg.is_zero(linalg.mat_sub(
-                linalg.mat_add(c1, linalg.mat_scale(lam.lam(i), c2)), rep.composition(i)))
+            linalg.combine(c1, lam.lam(i), c2) == rep.composition(i)
             for i in range(3, t.n + 1))
     return rep._relations[lam]
 
@@ -243,9 +242,9 @@ def build_homogeneous(t: CanonicalType, lam: LambdaChoice, mu: Fraction, size: i
     ident = linalg.eye(size)
     dim = size * basis_h(t)
     mats = {arrow: ident for arrow, _ in _arrows(dim)}
-    mats[(1, 1)] = linalg.mat_scale(-1, jj)
+    mats[(1, 1)] = c1 = linalg.combine(linalg.zeros(size, size), -1, jj)
     for i in range(3, t.n + 1):
-        mats[(i, 1)] = linalg.mat_sub(linalg.mat_scale(lam.lam(i), ident), jj)
+        mats[(i, 1)] = linalg.combine(c1, lam.lam(i), ident)
     return MatrixRep(t, dim, mats)
 
 
@@ -288,7 +287,7 @@ def random_cone_point(t: CanonicalType, lam: LambdaChoice, d: DimVector,
     base = MatrixRep(t, d, mats)
     c1, c2 = base.composition(1), base.composition(2)
     for i, chain in enumerate(d.chains()[2:], start=3):
-        target = linalg.mat_add(c1, linalg.mat_scale(lam.lam(i), c2))
+        target = linalg.combine(c1, lam.lam(i), c2)
         if preprojective:
             extra = rand(d.d0, chain[1] - d.dinf)
             mats[(i, 1)] = tuple(a + b for a, b in zip(target, extra))

@@ -11,18 +11,18 @@ the sign of an integer deficiency function over Z_p.
 The deficiency reads only the level q and d', and its least value over Z_p
 has a closed form: the term (p-q)<d',h> is never negative, so the least is at
 q = p, and on each slice <d',h> = s the least <d',d'> is the geometry slice
-minimum.  The decision reads the at most 2*lcm(m) slices of
-geometry._slice_candidates; a negative minimum is attained by a triple built
-from the smallest minimizing slice, which is rechecked as a member of Z_p.
-Only the consumers of all of Z_p enumerate it, through zpstream, which joins
-one walk per exceptional tube.
+form, so one geometry._slice_minimum decides (its proof is in the geometry
+docstring); a negative minimum is attained by a triple built from the
+smallest minimizing slice, which is rechecked as a member of Z_p.  Only the
+consumers of all of Z_p enumerate it, through strata, the one reader of
+zpstream's search, which joins one walk per exceptional tube.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, pairwise
-from math import prod
+from math import ceil, prod
 from typing import Iterator
 
 from . import geometry
@@ -149,6 +149,13 @@ def _is_equality(t: CanonicalType, p: int, q: int, th: int, pair: int, xx: int) 
     return th == 1 and q == p and pair == 0 and xx == t.total - t.n * th
 
 
+def _is_flat(t: CanonicalType, p: int, q: int, th: int, sd: int, pair: int, xx: int) -> bool:
+    """Deficiency 0 and the target dimension, the test _is_equality is
+    compared with; a(p*h) cancels from both, leaving codim = |m| + p + 1 - n."""
+    return (_deficiency(t, p, q, th, sd) == 0
+            and _stratum_codim(p, q, th, sd, pair, xx) == t.total + p + 1 - t.n)
+
+
 def plus_condition(t: CanonicalType, p: int, z: ZTriple) -> bool:
     """The four equality conditions marking a component stratum."""
     th = euler_form(t, z.dprime, basis_h(t))
@@ -159,15 +166,9 @@ def plus_condition(t: CanonicalType, p: int, z: ZTriple) -> bool:
 
 
 def components_bruteforce(t: CanonicalType, p: int) -> list[ZTriple]:
-    """All stratum labels satisfying the equality conditions, by exhaustion
-    over the leaves of strata; only the equality strata are built as triples."""
-    from .zpstream import _ArmZp
-
-    zp = _ArmZp(t, p)
-    return [ZTriple(*zp.triple(q, dprime, entries, members))
-            for q, dprime, th, _, leaves in zp.blocks(DEFAULT_ZCAP)
-            for entries, members, pair, xx in leaves
-            if _is_equality(t, p, q, th, pair, xx)]
+    """All stratum labels satisfying the equality conditions: strata filtered
+    by _is_equality."""
+    return [z for z, th, _, pair, xx in strata(t, p) if _is_equality(t, p, z.q, th, pair, xx)]
 
 
 def component_count_formula(t: CanonicalType, p: int) -> int:
@@ -218,8 +219,7 @@ def zeroset_threshold(t: CanonicalType) -> int:
     if d == 0:
         return t.n + 1
     if d < 1:
-        ratio = Fraction(t.n + 1) / (1 - d)
-        return -((-ratio.numerator) // ratio.denominator)
+        return ceil(Fraction(t.n + 1) / (1 - d))
     raise OutsideProvenRange(
         f"no proved zero-set bound for {t}: delta = {d} >= 1")
 
@@ -243,19 +243,18 @@ def _least_deficiency(t: CanonicalType, p: int) -> tuple[int, int]:
     """(least deficiency over all (q, d') with q <= p, least s attaining it).
 
     (p-q)<d',h> >= 0 puts the least at q = p, and shifting d' by h leaves
-    <d',d'> unchanged, so on the slice <d',h> = s the least <d',d'> is
-    geometry._slice_form(t, s).  The slices of geometry._slice_candidates
-    hold the least value and its smallest s (geometry module docstring).
+    <d',d'> unchanged, so on the slice <d',h> = s the least <d',d'> is the
+    geometry slice form, and the deficiency is (p-n)*s + form - (p-n) - 1.
     """
-    return min((_deficiency(t, p, p, s, geometry._slice_form(t, s)), s)
-               for s in geometry._slice_candidates(t, p))
+    least, at = geometry._slice_minimum(t, p, p - t.n)
+    return least - (p - t.n) - 1, at[0]
 
 
 def _slice_witness(t: CanonicalType, p: int, s: int) -> ZTriple:
     """The triple at q = p on slice s: d' takes the first least chain of each
     arm, X is the sum of the tube simples d' leaves unseen and d'' the rest
     of p*h.  Raises RuntimeError if it is not a member of Z_p."""
-    dprime = DimVector(s, 0, tuple(geometry._arm_min_chains(mi, s)[0] for mi in t.m))
+    dprime = DimVector(s, 0, tuple(geometry._arm_first_chain(mi, s) for mi in t.m))
     xclass = RegularModuleClass(tuple(
         TubeIndec(i, j, 1) for i, chain in enumerate(dprime.chains(), start=1)
         for j, (a, b) in enumerate(pairwise(chain)) if a == b))

@@ -1,11 +1,11 @@
 """The model of Z_p and nothing else: the search of its triples and the count
 of their keys, both read off one walk per tube.
 
-Its consumers, zeroset.strata, zeroset.components_bruteforce and the verify
+Its consumers, zeroset.strata (the one reader of ``blocks``) and the verify
 zero-set suite in checks, keep what they conclude from Z_p; it imports
-nothing of zeroset.  A consumer reads the leaves of each (q, d') block as
-ints and tuples, and ``triple`` gives a leaf as (d', d'', X, q), which it
-wraps as a zeroset.ZTriple where it hands it out.  Only those consumers
+nothing of zeroset.  strata reads the leaves of each (q, d') block as ints
+and tuples, and ``triple`` gives a leaf as (d', d'', X, q), which it wraps
+as a zeroset.ZTriple where it hands it out.  Only those consumers
 import this module, inside the functions, so the queries that never
 enumerate Z_p do not compile it.  It calls the public functions of the other
 modules through their modules, so a wrapper rebound there is seen here and

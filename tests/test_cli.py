@@ -304,6 +304,26 @@ def test_level_queries_read_at_most_two_lcm_slices(capsys, monkeypatch):
     assert answers["3,3,3,3,3,3,3", "components"] == (2, None)
 
 
+def test_each_level_query_makes_one_slice_scan(capsys, monkeypatch):
+    # ci and components minimise the CI cost (a = p), zeroset the deficiency
+    # (a = p - n): one scan of the slices each
+    calls = []
+    slice_minimum = geometry._slice_minimum
+
+    def counted(t, p, a):
+        calls.append(a)
+        return slice_minimum(t, p, a)
+
+    monkeypatch.setattr(geometry, "_slice_minimum", counted)
+    p = 10**12
+    for arms in ["2,3,7", "2,2,2"]:
+        for command in ["ci", "components", "zeroset"]:
+            calls.clear()
+            code, _, _ = run_json(capsys, command, "--type", arms, "--p", str(p))
+            want = [p - 3] if command == "zeroset" else [p]
+            assert code == 0 and calls == want, (arms, command, calls)
+
+
 def test_verify_cap_bounds_zero_set_triples(capsys):
     # Z_2 at (2,2,2) holds 94 triples
     argv = ("verify", "--type", "2,2,2", "--pmax", "2", "--samples", "10")
@@ -351,6 +371,19 @@ def fresh_python(code: str, *argv: str) -> str:
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     return proc.stdout
+
+
+def test_closed_stdout_exits_141_quietly():
+    # 7777 components print far more than a pipe buffer holds, so the
+    # writes after the first line meet a reader that is gone
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "canalg", "components", "--type", "6,6,6,6,6", "--p", "5"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"p: 5\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
 
 
 # The modules a query adds to those the interpreter and its site hooks loaded:

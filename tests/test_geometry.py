@@ -244,6 +244,12 @@ def test_arm_min_matches_brute_chains():
             assert _arm_min_chains(m, s) == sorted(c for c, v in costs.items() if v == least)
 
 
+def test_first_arm_chain_is_the_least_listed_chain():
+    for m in range(2, 8):
+        for s in range(13):
+            assert geometry._arm_first_chain(m, s) == _arm_min_chains(m, s)[0], (m, s)
+
+
 def test_component_count_matches_listing_on_boundary():
     for t, pmax in [(T5, 12), (T36, 9)]:
         for p in range(1, pmax + 1):

@@ -396,6 +396,18 @@ def test_zeroset_witness_outside_enumeration_window():
     assert negatives > 0
 
 
+def test_witness_on_a_long_arm_lists_no_chains(monkeypatch):
+    # slice 2 of the 997-arm has C(997, 2) least chains; the witness builds
+    # only the first of each arm
+    def listed(mi, s):
+        raise AssertionError("least chains listed")
+
+    monkeypatch.setattr(geometry, "_arm_min_chains", listed)
+    t = CanonicalType((2, 2, 997))
+    z = ZeroSetReport.compute(t, 2).witness
+    assert z.is_member(t, 2) and diff(t, 2, z) < 0
+
+
 def test_wild_closed_form_on_proved_range():
     for arms in ((2, 3, 7), (2, 3, 8), (2, 4, 5), (2, 5, 5), (3, 3, 4), (3, 4, 4),
                  (2, 2, 2, 3), (2, 2, 3, 3)):
