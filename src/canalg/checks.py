@@ -382,12 +382,8 @@ def oracle_suite(t: CanonicalType, lam: oracle.LambdaChoice | None = None,
     if full is None:
         full = t.total <= 9
 
-    tube_mods: list[tuple[TubeIndec, oracle.MatrixRep]] = []
-    for i, mi in enumerate(t.m, start=1):
-        for j in range(mi):
-            tube_mods.append((TubeIndec(i, j, 1), oracle.build_exceptional_simple(t, lam, i, j)))
-        for a in range(mi):
-            tube_mods.append((TubeIndec(i, a, 2), oracle.build_length_two(t, lam, i, a)))
+    tube_mods = [(TubeIndec(i, a, l), oracle.build_uniserial(t, lam, i, a, l))
+                 for i, mi in enumerate(t.m, start=1) for l in (1, 2) for a in range(mi)]
     homog = [(s, oracle.build_homogeneous(t, lam, mu, s)) for s in sizes]
 
     ok = all(oracle.check_relations(t, lam, rep) for _, rep in tube_mods) and \

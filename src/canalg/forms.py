@@ -80,12 +80,14 @@ class _Value:
 
 class CanonicalType(_Value):
     """Arm-length sequence of a canonical algebra, with derived invariants.
-    No ``__slots__``: the cached properties keep their values in ``__dict__``."""
+    A length that is not an integer (a float, a Fraction, a string) raises
+    TypeError.  No ``__slots__``: the cached properties keep their values in
+    ``__dict__``."""
 
     _fields = ("m",)
 
     def __init__(self, m: tuple[int, ...]) -> None:
-        m = tuple(int(x) for x in m)
+        m = tuple(map(_index, m))
         self._set(m)
         if len(m) < 3:
             raise ValueError(f"need at least 3 arms, got {len(m)}")
@@ -162,13 +164,14 @@ class DimVector(_Value):
     ``arms[i-1]`` holds the interior values ``(d_{i,1}, ..., d_{i,m_i-1})``;
     ``chains()[i-1]`` is the whole arm ``(d0, d_{i,1}, ..., d_{i,m_i-1}, dinf)``,
     so ``entry(i, 0)`` and ``entry(i, m_i)`` resolve to ``d0`` and ``dinf``.
+    A coordinate that is not an integer raises TypeError, as in ``__mul__``.
     """
 
     __slots__ = _fields = ("d0", "dinf", "arms")
 
     def __init__(self, d0: int, dinf: int, arms: tuple[tuple[int, ...], ...]) -> None:
-        arms = tuple(tuple(map(int, a)) for a in arms)
-        self._set(int(d0), int(dinf), arms)
+        arms = tuple(tuple(map(_index, a)) for a in arms)
+        self._set(_index(d0), _index(dinf), arms)
 
     @classmethod
     def from_entries(cls, t: CanonicalType, flat: Iterable[int]) -> "DimVector":

@@ -1,13 +1,14 @@
 """Matrix ground truth: explicit representation points over exact rationals.
 
 A point of the module variety is a tuple of arrow matrices satisfying the
-n - 2 arm relations.  This module builds concrete points for the regular
-simples, quasi-length-two tube modules and homogeneous (Jordan) modules, and
-computes Hom dimensions as exact nullities of the intertwining system.  These
-values validate the combinatorial tube model against actual linear algebra.
+n - 2 arm relations.  This module builds concrete points for every module of
+the exceptional tubes (build_uniserial) and for the homogeneous (Jordan)
+modules, both through one writer of the arms off the tube, and computes Hom
+dimensions as exact nullities of the intertwining system.  These values
+validate the combinatorial tube model against actual linear algebra.
 
 Convention: a module lies in the tube at a point (c1 : c2) of the projective
-line when its arm compositions satisfy (C1 : C2) = (c1 : c2); the tube
+line when its arm compositions make c2*C1 - c1*C2 nilpotent; the tube
 parameter lambda corresponds to (-lambda : 1), the point at infinity to
 (1 : 0).  Arm 1 sits at 0, arm 2 at infinity, arm i >= 3 at lambda_i.
 """
@@ -25,7 +26,7 @@ from typing import Iterator, Mapping
 
 from . import linalg
 from .cones import in_P, in_Q
-from .forms import CanonicalType, DimVector, _Value, basis_e, basis_h, format_dim_vector
+from .forms import CanonicalType, DimVector, _Value, basis_h, format_dim_vector
 from .linalg import Matrix
 
 
@@ -154,83 +155,66 @@ def check_relations(t: CanonicalType, lam: LambdaChoice, rep: MatrixRep) -> bool
     return rep._relations[lam]
 
 
-def _tube_scalars(t: CanonicalType, lam: LambdaChoice, i: int) -> dict[int, Fraction]:
-    """Composition scalar per arm for a module of the i-th exceptional tube
-    whose compositions are 1x1; arm i itself composes to zero."""
-    if i == 1:
-        c1, c2 = Fraction(0), Fraction(1)
-    elif i == 2:
-        c1, c2 = Fraction(1), Fraction(0)
-    else:
-        c1, c2 = -lam.lam(i), Fraction(1)
-    scalars = {1: c1, 2: c2}
-    for k in range(3, t.n + 1):
-        scalars[k] = c1 + lam.lam(k) * c2
-    scalars[i] = Fraction(0)
-    return scalars
+def _arm_maps(t: CanonicalType, lam: LambdaChoice, size: int,
+              point: tuple, shift: tuple, skip: int = 0) -> dict[tuple[int, int], Matrix]:
+    """The maps on every arm k != skip of a module with ``size``-dimensional
+    spaces at 0 and inf: identities, except C_k = c_k*I + u_k*S on the first
+    arrow, S the upper shift.  Arms 1 and 2 take (c_1, c_2) = point and
+    (u_1, u_2) = shift; every arm k >= 3 takes C_k = C_1 + lambda_k*C_2.
+    """
+    def first(c, u) -> Matrix:
+        return tuple(tuple(Fraction(c if r == col else u if col == r + 1 else 0)
+                           for col in range(size)) for r in range(size))
 
-
-_ONE = ((Fraction(1),),)
-
-
-def _tube_arms(t: CanonicalType, lam: LambdaChoice, i: int) -> dict[tuple[int, int], Matrix]:
-    """1x1 maps along every arm k != i composing to its tube scalar: the
-    scalar on the first arrow, identities after."""
-    scal = _tube_scalars(t, lam, i)
-    mats = {}
+    (c1, c2), ident, mats = map(first, point, shift), linalg.eye(size), {}
     for k, mk in enumerate(t.m, start=1):
-        if k != i:
-            mats.update({(k, j): _ONE for j in range(2, mk + 1)})
-            mats[(k, 1)] = ((scal[k],),)
+        if k != skip:
+            mats.update({(k, j): ident for j in range(2, mk + 1)})
+            mats[(k, 1)] = c1 if k == 1 else c2 if k == 2 else linalg.combine(c1, lam.lam(k), c2)
     return mats
 
 
-def build_exceptional_simple(t: CanonicalType, lam: LambdaChoice, i: int, j: int) -> MatrixRep:
-    """The j-th regular simple of the i-th exceptional tube, j in [0, m_i - 1].
+def build_uniserial(t: CanonicalType, lam: LambdaChoice, i: int, a: int, l: int) -> MatrixRep:
+    """The module of tube i with socle the a-th simple and quasi-length l.
 
-    For j >= 1 this is the vertex-simple at (i, j): every map is zero.  For
-    j = 0 the dimension vector is e_{i,0}; arm i composes to zero through its
-    zero interior spaces and the other arms carry the tube scalars.
-    """
-    lam.check_against(t)
-    return MatrixRep(t, basis_e(t, i, j), _tube_arms(t, lam, i) if j == 0 else {})
-
-
-def build_length_two(t: CanonicalType, lam: LambdaChoice, i: int, a: int) -> MatrixRep:
-    """Uniserial tube module with socle the a-th simple and quasi-length 2.
-
-    Interior case (1 <= a <= m_i - 2): supported on the adjacent vertices
-    (i, a) and (i, a+1) with connecting map 1.  Wrap cases involve the j = 0
-    simple: a = 0 puts the extension on the arrow into vertex 0, a = m_i - 1
-    on the arrow out of the sink; arm i still composes to zero.
+    Its basis b_0, ..., b_{l-1} has b_k at index a + k mod m_i: at vertex
+    (i, that index), and for index 0 at 0, at inf and on every other arm.
+    Each arrow of arm i sends b_k to b_{k-1}, so arm i composes to the upper
+    shift S of the index-0 copies; the other arms carry _arm_maps at arm i's
+    tube point, with the shift that makes the relations give C_i = S.
     """
     lam.check_against(t)
     mi = t.arm_length(i)
-    if not 0 <= a <= mi - 1:
-        raise ValueError(f"socle index {a} out of range on arm {i}")
-    dim = basis_e(t, i, a) + basis_e(t, i, (a + 1) % mi)
-    if 1 <= a <= mi - 2:
-        return MatrixRep(t, dim, {(i, a + 1): _ONE})
-    mats = _tube_arms(t, lam, i)
-    # a = 0: socle the tube simple at index 0, top the vertex-simple at (i, 1);
-    # a = m_i - 1: socle the vertex-simple at (i, m_i - 1), top the index-0 simple
-    mats[(i, 1 if a == 0 else mi)] = _ONE
-    return MatrixRep(t, dim, mats)
+    if not (0 <= a <= mi - 1 and l >= 1):
+        raise ValueError(f"no module of socle index {a} and quasi-length {l} on arm {i}")
+    spaces = [range((j - a) % mi, l, mi) for j in range(mi)]  # the k with b_k at index j
+    # arrow (i, j) maps the space at index j mod m_i to the one at index j - 1
+    mats = {(i, j): tuple(tuple(Fraction(r == c - 1) for c in spaces[j % mi])
+                          for r in spaces[j - 1]) for j in range(1, mi + 1)}
+    point = (0, 1) if i == 1 else (1, 0) if i == 2 else (-lam.lam(i), 1)
+    copies = len(spaces[0])
+    mats.update(_arm_maps(t, lam, copies, point, (0, 1) if i == 2 else (1, 0), skip=i))
+    arms = tuple(tuple(map(len, spaces[1:])) if k == i else (copies,) * (mk - 1)
+                 for k, mk in enumerate(t.m, start=1))
+    return MatrixRep(t, DimVector(copies, copies, arms), mats)
 
 
-def jordan_block(mu: Fraction, size: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(mu) if r == c else (Fraction(1) if c == r + 1 else Fraction(0))
-              for c in range(size))
-        for r in range(size))
+def build_exceptional_simple(t: CanonicalType, lam: LambdaChoice, i: int, j: int) -> MatrixRep:
+    """The j-th regular simple of the i-th exceptional tube, j in [0, m_i - 1]."""
+    return build_uniserial(t, lam, i, j, 1)
+
+
+def build_length_two(t: CanonicalType, lam: LambdaChoice, i: int, a: int) -> MatrixRep:
+    """The tube module with socle the a-th simple and quasi-length 2."""
+    return build_uniserial(t, lam, i, a, 2)
 
 
 def build_homogeneous(t: CanonicalType, lam: LambdaChoice, mu: Fraction, size: int) -> MatrixRep:
     """Quasi-length-`size` module over the homogeneous simple at parameter mu.
 
-    Every vertex carries the same space; arm 1 composes to -J(mu), arm 2 to
-    the identity and arm i to lambda_i - J(mu), realized by placing the full
-    matrix on the first arrow of the arm and identities elsewhere.
+    Every vertex carries the same space; arm 1 composes to -J(mu), with
+    J(mu) = mu*I + S, arm 2 to the identity and arm i to lambda_i - J(mu):
+    the maps of _arm_maps at the point (-mu : 1).
     """
     lam.check_against(t)
     mu = Fraction(mu)
@@ -238,14 +222,7 @@ def build_homogeneous(t: CanonicalType, lam: LambdaChoice, mu: Fraction, size: i
         raise ValueError(f"parameter {mu} collides with an exceptional tube point")
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    jj = jordan_block(mu, size)
-    ident = linalg.eye(size)
-    dim = size * basis_h(t)
-    mats = {arrow: ident for arrow, _ in _arrows(dim)}
-    mats[(1, 1)] = c1 = linalg.combine(linalg.zeros(size, size), -1, jj)
-    for i in range(3, t.n + 1):
-        mats[(i, 1)] = linalg.combine(c1, lam.lam(i), ident)
-    return MatrixRep(t, dim, mats)
+    return MatrixRep(t, size * basis_h(t), _arm_maps(t, lam, size, (-mu, 1), (-1, 0)))
 
 
 def _coordinate(rows: int, cols: int) -> Matrix:

@@ -11,6 +11,7 @@ target, one dimension per admissible segment length.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Union
 
 from .forms import CanonicalType, DimVector, _Value
@@ -97,20 +98,23 @@ def dim_vector(t: CanonicalType, xs: ClassLike) -> DimVector:
 
     A member (i, a, l) with l = q*m_i + r has c_j = q + [(j - a) mod m_i < r]
     factors of index j.  Its vector is c_0 at 0, at inf and at every vertex
-    off arm i (from e_{i,0}), and c_j at (i, j).
+    off arm i (from e_{i,0}), and c_j at (i, j).  Each member marks its q and
+    the two ends of its cyclic run [a, a + r) on its arm; one running sum per
+    arm then gives the sum of the c_j, so the cost is linear in the members
+    and in |m|.
     """
-    ends = 0  # the sum of the members' c_0
-    arms = [[0] * (mi - 1) for mi in t.m]  # at (i, j), the sum of c_j - c_0
+    marks = [[0] * mi for mi in t.m]
     for x in _members(xs):
         x.check_against(t)
-        mi = t.arm_length(x.arm)
-        q, r = divmod(x.qlen, mi)
-        c0 = q + ((-x.socle) % mi < r)
-        ends += c0
-        arm = arms[x.arm - 1]
-        for j in range(1, mi):
-            arm[j - 1] += q + ((j - x.socle) % mi < r) - c0
-    return DimVector(ends, ends, tuple(tuple(ends + v for v in arm) for arm in arms))
+        mark = marks[x.arm - 1]
+        q, r = divmod(x.qlen, len(mark))
+        end = x.socle + r
+        mark[0] += q + (end >= len(mark))  # a run that wraps also covers 0
+        mark[x.socle] += 1
+        mark[end % len(mark)] -= 1
+    counts = [tuple(accumulate(mark)) for mark in marks]
+    ends = sum(c[0] for c in counts)  # the sum of the members' c_0
+    return DimVector(ends, ends, tuple(tuple(ends + v - c[0] for v in c[1:]) for c in counts))
 
 
 def hom_dim_tube(t: CanonicalType, x: TubeIndec, y: TubeIndec) -> int:

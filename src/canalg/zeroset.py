@@ -29,8 +29,7 @@ from . import geometry
 from .cones import DEFAULT_ZCAP, in_P, in_Q
 from .forms import (CanonicalType, DimVector, _Value, a_dim, basis_e, basis_h,
                     euler_form, euler_quadratic, format_dim_vector)
-from .tubes import (RegularModuleClass, TubeIndec, dim_vector, end_dim,
-                    hom_to_simple_nonzero)
+from .tubes import RegularModuleClass, TubeIndec, dim_vector, end_dim, top_index
 
 
 # checks.zeroset_suite reads all of Z_p, which is desk-scale only, so it runs
@@ -63,13 +62,9 @@ class ZTriple(_Value):
         total = self.dprime + self.ddouble + dim_vector(t, self.xclass)
         if total != self.q * basis_h(t):
             return False
-        for i in range(1, t.n + 1):
-            for j in range(t.m[i - 1]):
-                if euler_form(t, self.dprime, basis_e(t, i, j)) != 0:
-                    continue
-                if not hom_to_simple_nonzero(t, self.xclass, i, j):
-                    return False
-        return True
+        tops = {(x.arm, top_index(t, x)) for x in self.xclass}
+        return all((i, j) in tops or euler_form(t, self.dprime, basis_e(t, i, j)) != 0
+                   for i in range(1, t.n + 1) for j in range(t.m[i - 1]))
 
     def to_dict(self) -> dict:
         return {

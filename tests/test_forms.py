@@ -219,6 +219,21 @@ def test_scalar_multiple_refuses_non_integer_scalars():
             h * c
 
 
+
+def test_constructors_refuse_non_integers():
+    # 2.5 at the source or an arm of 2.7 would otherwise be truncated
+    for bad in (2.5, Fraction(5, 2), Fraction(2), 2.0, "2"):
+        with pytest.raises(TypeError):
+            DimVector(bad, 0, ((1,), (1,), (0,)))
+        with pytest.raises(TypeError):
+            DimVector(2, bad, ((1,), (1,), (0,)))
+        with pytest.raises(TypeError):
+            DimVector(2, 0, ((bad,), (1,), (0,)))
+        with pytest.raises(TypeError):
+            CanonicalType((bad, 3, 7))
+    assert CanonicalType((2, 3, 7)) == T237
+    assert str(DimVector(2, 0, ((1,), (1,), (0,)))) == "2;1/1/0;0"
+
 def test_text_form_round_trip():
     text = "42;21/28,14/36,30,24,18,12,6;0"
     assert format_dim_vector(parse_dim_vector(text)) == text

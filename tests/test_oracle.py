@@ -1,14 +1,17 @@
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from canalg import zpstream
 from canalg.checks import oracle_suite
 from canalg.forms import (CanonicalType, basis_e, basis_einf, basis_h,
                           parse_dim_vector, slope_one_vector)
 from canalg.oracle import (LambdaChoice, MatrixRep, build_exceptional_simple,
-                           build_homogeneous, build_length_two,
+                           build_homogeneous, build_length_two, build_uniserial,
                            check_relations, direct_sum, hom_dim_linear,
                            random_cone_point)
 from canalg.tubes import TubeIndec, dim_vector, hom_dim_tube
@@ -310,3 +313,59 @@ def test_hom_dim_linear_matches_dense_reference_on_rational_points():
         for b in mods:
             assert hom_dim_linear(t, lam, a, b) == _dense_hom(t, a, b)
             assert hom_dim_linear(t, lam, b, a) == _dense_hom(t, b, a)
+
+
+# sha256 of the builders' matrices over 200 modules, computed before the tube
+# modules shared one construction
+BUILDERS_DIGEST = "06ee4b4966d4fd3d886a40228c4208fd9667992852319c54c32aad63dd42c04c"
+
+
+def test_builders_keep_their_matrices():
+    lines, entries = [], []
+    for arms in ((2, 2, 2), (2, 3, 4), (2, 2, 3, 3), (3, 3, 3)):
+        t = CanonicalType(arms)
+        rational = LambdaChoice(tuple(Fraction(-(3 * k + 1), 7) for k in range(t.n - 2)))
+        for lam in (LambdaChoice.default_for(t), rational):
+            reps = [build_exceptional_simple(t, lam, i, j)
+                    for i, mi in enumerate(t.m, start=1) for j in range(mi)]
+            reps += [build_length_two(t, lam, i, a)
+                     for i, mi in enumerate(t.m, start=1) for a in range(mi)]
+            reps += [build_homogeneous(t, lam, mu, size)
+                     for mu in (Fraction(5, 3), Fraction(-2)) for size in range(1, 5)]
+            for rep in reps:
+                lines.append(json.dumps(rep.to_dict(lam), sort_keys=True) + "\n")
+                entries += [x for m in rep.mats.values() for row in m for x in row]
+    assert len(lines) == 200
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == BUILDERS_DIGEST
+    assert all(type(x) is Fraction for x in entries)
+
+
+def test_uniserial_refuses_modules_off_the_tube():
+    for i, a, l in ((1, 2, 1), (3, -1, 1), (3, 0, 0), (4, 0, 1)):
+        with pytest.raises(ValueError):
+            build_uniserial(T234, LAM, i, a, l)
+
+
+@pytest.mark.parametrize("arms, lambdas, level", [
+    ((2, 2, 2), None, 4),
+    ((2, 3, 4), None, 2),
+    ((2, 3, 4), (Fraction(1, 3),), 2),
+    ((2, 3, 4), None, 4),
+])
+def test_tube_model_at_every_quasi_length_Zp_uses(arms, lambdas, level):
+    # Z_p at p = level draws the members of X from zpstream._arm_candidates:
+    # quasi-lengths up to m_i*level, 16 on the 4-arm of (2,3,4) at p = 4
+    t = CanonicalType(arms)
+    lam = LambdaChoice(lambdas) if lambdas else LambdaChoice.default_for(t)
+    tubes = [[(x, build_uniserial(t, lam, i, x.socle, x.qlen))
+              for x, _ in zpstream._arm_candidates(t, i, level)] for i in range(1, t.n + 1)]
+    for tube in tubes:
+        for x, xrep in tube:
+            assert xrep.dim == dim_vector(t, x), x
+        for x, xrep in tube:
+            for y, yrep in tube:
+                assert hom_dim_linear(t, lam, xrep, yrep) == hom_dim_tube(t, x, y), (x, y)
+    rng = random.Random(f"{arms}/{level}")
+    for _ in range(200):
+        (x, xrep), (y, yrep) = (rng.choice(tube) for tube in rng.sample(tubes, 2))
+        assert hom_dim_linear(t, lam, xrep, yrep) == 0, (x, y)

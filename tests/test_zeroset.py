@@ -408,6 +408,39 @@ def test_witness_on_a_long_arm_lists_no_chains(monkeypatch):
     assert z.is_member(t, 2) and diff(t, 2, z) < 0
 
 
+
+def test_member_check_reads_each_top_once(monkeypatch):
+    # the witness at (2,2,997) holds 995 tube simples; each top is read once,
+    # not once per simple of the type
+    calls = Counter()
+    top = zeroset.top_index
+
+    def counted(t, x):
+        calls[x] += 1
+        return top(t, x)
+
+    t = CanonicalType((2, 2, 997))
+    z = ZeroSetReport.compute(t, 2).witness
+    monkeypatch.setattr(zeroset, "top_index", counted)
+    assert z.is_member(t, 2)
+    assert sum(calls.values()) == len(z.xclass) > 900
+
+
+def test_member_check_matches_the_covering_condition():
+    # moving one member of X into d'' keeps the sum; the triple stays in Z_p
+    # exactly when d'' stays in Q and every simple orthogonal to d' is still
+    # the top of a member of X
+    t = CanonicalType((2, 3, 4))
+    for z in list(enumerate_Zp(t, 2))[::7]:
+        for k, x in enumerate(z.xclass.members):
+            rest = RegularModuleClass(z.xclass.members[:k] + z.xclass.members[k + 1:])
+            ddouble = z.ddouble + dim_vector(t, x)
+            covered = all(hom_to_simple_nonzero(t, rest, i, j)
+                          or euler_form(t, z.dprime, basis_e(t, i, j)) != 0
+                          for i in range(1, t.n + 1) for j in range(t.m[i - 1]))
+            assert ZTriple(z.dprime, ddouble, rest, z.q).is_member(t, 2) == \
+                (in_Q(t, ddouble) and covered), (z, x)
+
 def test_wild_closed_form_on_proved_range():
     for arms in ((2, 3, 7), (2, 3, 8), (2, 4, 5), (2, 5, 5), (3, 3, 4), (3, 4, 4),
                  (2, 2, 2, 3), (2, 2, 3, 3)):
