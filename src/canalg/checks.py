@@ -4,6 +4,14 @@ Each suite returns a list of CheckResult; a check aggregates many sampled or
 enumerated instances and reports the first counterexample if one exists.
 These are the batteries behind the command-line ``verify`` and ``oracle``
 subcommands, and the property-style portion of the test suite.
+
+The references only verify runs live here too, with their windows.  The
+exhaustive scan (equality_levels_naive) checks geometry's closed form against
+every vector of P, read once up to the top level one (d0, dinf) block at a
+time, level p being the blocks with d0 <= p; in a block the form is summed arm
+by arm (the arms share no vertex and no arrow), one euler_quadratic call for
+the base and one per chain.  It reads no h-shift, no balanced step and no
+tight slice: euler_form is its only evaluator of the form.
 """
 
 from __future__ import annotations
@@ -11,16 +19,18 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import compress, product
+from math import prod
 from typing import Iterator
 
 from . import geometry, oracle
-from .cones import DEFAULT_ZCAP, decompose_slope_one, in_P, in_Q
+from .cones import (DEFAULT_CAP, DEFAULT_ZCAP, EnumerationCapExceeded, _P_blocks,
+                    decompose_slope_one, in_P, in_Q)
 from .forms import (CanonicalType, DimVector, _Value, a_dim, basis_e, basis_e0, basis_h,
                     euler_form, euler_quadratic, gl_dim,
                     quadratic_lower_bound, quadratic_via_decomposition,
                     slope_one_vector, zero_vector)
-from .tubes import (RegularModuleClass, TubeIndec, dim_vector, end_dim,
-                    hom_dim_tube, hom_to_simple_nonzero, top_index)
+from .tubes import TubeIndec, dim_vector, end_dim, hom_dim_tube, top_index
 
 
 class CheckResult(_Value):
@@ -187,18 +197,76 @@ def cones_suite(t: CanonicalType, rng: random.Random, samples: int = 1000) -> li
     return out
 
 
+# The windows (arm product, level) of the desk-scale references, which no
+# decision reads: geometry/dp-vs-naive scans all of P, zeroset_suite all of Z_p.
+NAIVE_PRODUCT_LIMIT = 60
+NAIVE_P_LIMIT = 4
+BRUTE_PRODUCT_LIMIT = 20
+BRUTE_P_LIMIT = 6
+
+
+def _block_forms(t: CanonicalType, d0: int, dinf: int,
+                 chains: list[list[tuple[int, ...]]]) -> list[int]:
+    """<d, d> for each d = DimVector(d0, dinf, combo) of a block of P, combo
+    over product(*chains) in order, from one euler_quadratic call per chain.
+
+    With B = (d0, dinf, zero arms) and A_i arm i's interior part, two arms
+    share no vertex and no arrow, so <A_i, A_j> = 0 for i != j, and by
+    bilinearity <d, d> = <B, B> + sum_i (<B + A_i, B + A_i> - <B, B>).
+    """
+    arms = zero_vector(t).arms
+    base = euler_quadratic(t, DimVector(d0, dinf, arms))
+    tables = [[euler_quadratic(t, DimVector(d0, dinf, (*arms[:i], c, *arms[i + 1:]))) - base
+               for c in arm_chains] for i, arm_chains in enumerate(chains)]
+    tables[0] = [base + x for x in tables[0]]
+    return list(map(sum, product(*tables)))
+
+
+def equality_levels_naive(t: CanonicalType, pmax: int) -> list[tuple[int, list[DimVector]]]:
+    """Exhaustive reference for every level p in [0, pmax], from one scan of P.
+
+    Entry p is equality_vectors_naive(t, p): the least of
+    <d, d> + p*(d0 - dinf) over d in P with d0 <= p, and the d attaining 0,
+    zero first and then in enumerate_P order.  Level p reads the blocks with
+    d0 <= p: enumerate_P(t, p) is that prefix of enumerate_P(t, pmax).
+    Raises EnumerationCapExceeded past DEFAULT_CAP vectors, as enumerate_P does.
+    """
+    if pmax < 0:
+        raise ValueError(f"p must be >= 0, got {pmax}")
+    zero = zero_vector(t)
+    least = [0] * (pmax + 1)
+    eq = [[zero] for _ in range(pmax + 1)]
+    seen = 1
+    for d0, dinf, chains in _P_blocks(t, pmax):
+        seen += prod(map(len, chains))
+        if seen > DEFAULT_CAP:
+            raise EnumerationCapExceeded(
+                f"cap {DEFAULT_CAP} exceeded while enumerating P for {t}, p={pmax}")
+        values = _block_forms(t, d0, dinf, chains)
+        lo, slope = min(values), d0 - dinf
+        for p in range(d0, pmax + 1):
+            least[p] = min(least[p], lo + p * slope)
+            if lo <= -p * slope:
+                hits = map((-p * slope).__eq__, values)
+                eq[p] += (DimVector(d0, dinf, c) for c in compress(product(*chains), hits))
+    return list(zip(least, eq))
+
+
+def equality_vectors_naive(t: CanonicalType, p: int) -> tuple[int, list[DimVector]]:
+    """(defect, equality set) at level p: level p of equality_levels_naive."""
+    return equality_levels_naive(t, p)[p]
+
+
 def geometry_suite(t: CanonicalType, pmax: int = 4) -> list[CheckResult]:
     out = []
     boundary, _ = geometry.classify_type(t)
     # one slice pass per level gives the defect, CI, normality and count
     summaries = {p: geometry.ci_summary(t, p) for p in range(1, pmax + 1)}
-    # one exhaustive scan of P answers every level it is checked at
-    naive = (geometry.equality_levels_naive(t, min(pmax, 4))
-             if t.product <= 60 and pmax >= 1 else [])
-    for p, summary in summaries.items():
-        if t.product <= 60 and p <= 4:
-            naive_defect, naive_eq = naive[p]
-            defect = summary["defect"]
+    if t.product <= NAIVE_PRODUCT_LIMIT:
+        # one exhaustive scan of P answers every level it is checked at
+        naive = equality_levels_naive(t, min(pmax, NAIVE_P_LIMIT))
+        for p, (naive_defect, naive_eq) in enumerate(naive[1:], start=1):
+            defect = summaries[p]["defect"]
             ok = naive_defect == defect
             detail = "" if ok else f"p={p}: closed form {defect} vs naive {naive_defect}"
             if ok and defect >= 0:
@@ -219,15 +287,14 @@ def geometry_suite(t: CanonicalType, pmax: int = 4) -> list[CheckResult]:
             out.append(CheckResult(f"geometry/boundary-count[{t},p={p}]", ok,
                                    "" if ok else f"predicted {pred}, got {got}"))
     if boundary != "above_boundary":
-        p, d = geometry.ci_failure_witness(t)
-        q = euler_quadratic(t, d)
-        exact = Fraction(q) == -t.delta * p * (d.d0 - d.dinf)
+        w = geometry.witness_summary(t)
+        p, d = w["p"], w["d"]
+        exact = Fraction(w["quadratic"]) == -t.delta * p * (d.d0 - d.dinf)
         member = in_P(t, d) and not d.is_zero()
-        weak = q + p * (d.d0 - d.dinf)
-        violates = weak < 0 if boundary == "below_boundary" else weak == 0
-        ok = exact and member and violates
-        out.append(CheckResult(f"geometry/witness[{t}]", ok,
-                               "" if ok else f"witness p={p} d={d} value {weak}"))
+        want = "weak" if boundary == "below_boundary" else "strict_only"
+        ok = exact and member and w["violates"] == want
+        out.append(CheckResult(f"geometry/witness[{t}]", ok, "" if ok else
+                               f"witness p={p} d={d} value {w['criterion_value']}"))
     return out
 
 
@@ -264,8 +331,8 @@ def tubes_suite(t: CanonicalType) -> list[CheckResult]:
                     if dim_vector(t, TubeIndec(i, a, l + mi)) != dim_vector(t, x) + h:
                         yield f"periodicity fails at {x}"
                     for j in range(mi):
-                        want = top_index(t, x) == j
-                        if hom_to_simple_nonzero(t, RegularModuleClass((x,)), i, j) != want:
+                        # x maps onto the simple (i, j) exactly when j is its top
+                        if (top_index(t, x) == j) != (hom_dim_tube(t, x, TubeIndec(i, j, 1)) > 0):
                             yield f"top test fails at {x}, j={j}"
 
     return [_first(f"tubes/euler-simples[{t}]", euler_simples()),
@@ -324,7 +391,7 @@ def zeroset_suite(t: CanonicalType, pmax: int = 4,
         ok = all(zeroset.check_wild_margin(t, p) for p in range(thr, thr + 3))
         aux = 4 * t.delta + t.n + 1 < Fraction(t.n + 1) / (1 - t.delta)
         out.append(CheckResult(f"zeroset/wild-margin[{t}]", ok and aux))
-    if t.product > zeroset.BRUTE_PRODUCT_LIMIT or pmax > zeroset.BRUTE_P_LIMIT:
+    if t.product > BRUTE_PRODUCT_LIMIT or pmax > BRUTE_P_LIMIT:
         return out
 
     # Z_pmax is counted arm by arm, not listed: the tally reads how many
@@ -462,7 +529,6 @@ def run_all(t: CanonicalType, pmax: int = 4, seed: int = 0, samples: int = 1000,
             cap: int = DEFAULT_ZCAP) -> list[CheckResult]:
     """Every suite applicable to the type, with seeded randomness; the zero-set
     suite raises EnumerationCapExceeded past `cap` triples."""
-    from .zeroset import BRUTE_P_LIMIT
     rng = random.Random(seed)
     results = []
     results += forms_suite(t, rng, samples)

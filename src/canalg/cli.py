@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 # Each handler imports the modules only it runs, so a short query skips the rest.
 from . import geometry
 from .cones import DEFAULT_CAP, DEFAULT_ZCAP, EnumerationCapExceeded
-from .forms import CanonicalType, euler_quadratic, format_dim_vector
+from .forms import CanonicalType, format_dim_vector
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -102,18 +102,8 @@ def cmd_zeroset(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    t = CanonicalType.parse(args.type)
-    p, d = geometry.ci_failure_witness(t)
-    q = euler_quadratic(t, d)
-    value = q + p * (d.d0 - d.dinf)
-    payload = {
-        "p": p,
-        "d": format_dim_vector(d),
-        "quadratic": q,
-        "criterion_value": value,
-        "violates": "weak" if value < 0 else "strict_only" if value == 0 else "none",
-    }
-    _emit(payload, args.format)
+    summary = geometry.witness_summary(CanonicalType.parse(args.type))
+    _emit({**summary, "d": format_dim_vector(summary["d"])}, args.format)
     return 0
 
 

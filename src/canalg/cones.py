@@ -66,7 +66,7 @@ def enumerate_P(t: CanonicalType, p: int, cap: int = DEFAULT_CAP) -> Iterator[Di
         raise ValueError(f"p must be >= 0, got {p}")
     emitted = 1
     if emitted > cap:
-        raise EnumerationCapExceeded(f"cap {cap} exceeded while enumerating P")
+        raise EnumerationCapExceeded(f"cap {cap} exceeded while enumerating P for {t}, p={p}")
     yield zero_vector(t)
     for d0, dinf, chains in _P_blocks(t, p):
         for combo in product(*chains):

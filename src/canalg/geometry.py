@@ -23,25 +23,17 @@ f strictly increases along each class: only its first element can be least.
 A class's first element lies in [1, L] and its last in [p - L + 1, p], so
 in both cases the candidates hold every least slice of f: the exact least
 cost, the tight slices (the least ones when the least cost is 0; none when
-it is positive) and the smallest s of least deficiency, the zero-set witness.
-
-The exhaustive reference (equality_levels_naive) checks that closed form
-against every vector of P, read once up to the top level one block of fixed
-(d0, dinf) at a time: level p is the prefix of blocks with d0 <= p.  Within
-a block the form is summed arm by arm (the arms share no vertex and no
-arrow), from one euler_quadratic call for the base and one per chain of each
-arm.  It visits every d0, dinf and chain, tight or not, and reads no h-shift,
-no balanced-step argument and no tight slice: euler_form is its only
-evaluator of the form.
+it is positive) and the smallest s of least deficiency, the zero-set witness;
+verify checks them against an exhaustive scan of P, which lives in checks.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations, compress, product
+from itertools import chain, combinations, product
 from math import comb, prod
 from typing import Iterator, Literal
 
-from .cones import DEFAULT_CAP, EnumerationCapExceeded, _P_blocks
+from .cones import DEFAULT_CAP, EnumerationCapExceeded
 from .forms import CanonicalType, DimVector, basis_h, euler_quadratic, zero_vector
 
 Boundary = Literal["above_boundary", "on_boundary", "below_boundary"]
@@ -154,6 +146,16 @@ def ci_summary(t: CanonicalType, p: int) -> dict:
             "defect": min(0, least)}
 
 
+def witness_summary(t: CanonicalType) -> dict:
+    """ci_failure_witness's p and d, <d, d>, the criterion value <d, d> + p*(d0 - dinf)
+    and what it violates: "weak" (CI) below 0, "strict_only" (normality) at 0, else "none"."""
+    p, d = ci_failure_witness(t)
+    q = euler_quadratic(t, d)
+    value = q + p * (d.d0 - d.dinf)
+    return {"p": p, "d": d, "quadratic": q, "criterion_value": value,
+            "violates": "weak" if value < 0 else "strict_only" if value == 0 else "none"}
+
+
 def ci_defect(t: CanonicalType, p: int) -> int:
     """Minimum of <d, d> + p*(d0 - dinf) over d in P with d0 <= p: never positive,
     as the zero vector gives 0, and 0 exactly when the variety at p*h is CI."""
@@ -194,62 +196,6 @@ def irreducible_components(t: CanonicalType, p: int, cap: int = DEFAULT_CAP) -> 
                 out.append(base + c * h)
     out.sort(key=lambda d: d.sort_key())
     return out
-
-
-def _block_forms(t: CanonicalType, d0: int, dinf: int,
-                 chains: list[list[tuple[int, ...]]]) -> list[int]:
-    """<d, d> for each d = DimVector(d0, dinf, combo) of a block of P, combo
-    over product(*chains) in order, from one euler_quadratic call per chain.
-
-    With B = (d0, dinf, zero arms) and A_i arm i's interior part, two arms
-    share no vertex and no arrow, so <A_i, A_j> = 0 for i != j, and by
-    bilinearity <d, d> = <B, B> + sum_i (<B + A_i, B + A_i> - <B, B>).
-    """
-    arms = zero_vector(t).arms
-    base = euler_quadratic(t, DimVector(d0, dinf, arms))
-    tables = [[euler_quadratic(t, DimVector(d0, dinf, (*arms[:i], c, *arms[i + 1:]))) - base
-               for c in arm_chains] for i, arm_chains in enumerate(chains)]
-    tables[0] = [base + x for x in tables[0]]
-    return list(map(sum, product(*tables)))
-
-
-def equality_levels_naive(t: CanonicalType, pmax: int) -> list[tuple[int, list[DimVector]]]:
-    """Exhaustive reference for every level p in [0, pmax], from one scan of P.
-
-    Entry p is equality_vectors_naive(t, p): the least of
-    <d, d> + p*(d0 - dinf) over d in P with d0 <= p, and the d attaining 0,
-    zero first and then in enumerate_P order.  Level p reads the blocks with
-    d0 <= p: enumerate_P(t, p) is that prefix of enumerate_P(t, pmax).
-    Raises EnumerationCapExceeded past DEFAULT_CAP vectors, as enumerate_P does.
-    """
-    if pmax < 0:
-        raise ValueError(f"p must be >= 0, got {pmax}")
-    zero = zero_vector(t)
-    least = [0] * (pmax + 1)
-    eq = [[zero] for _ in range(pmax + 1)]
-    seen = 1
-    for d0, dinf, chains in _P_blocks(t, pmax):
-        seen += prod(map(len, chains))
-        if seen > DEFAULT_CAP:
-            raise EnumerationCapExceeded(
-                f"cap {DEFAULT_CAP} exceeded while enumerating P for {t}, p={pmax}")
-        values = _block_forms(t, d0, dinf, chains)
-        lo, slope = min(values), d0 - dinf
-        for p in range(d0, pmax + 1):
-            least[p] = min(least[p], lo + p * slope)
-            if lo <= -p * slope:
-                hits = map((-p * slope).__eq__, values)
-                eq[p] += (DimVector(d0, dinf, c) for c in compress(product(*chains), hits))
-    return list(zip(least, eq))
-
-
-def equality_vectors_naive(t: CanonicalType, p: int) -> tuple[int, list[DimVector]]:
-    """Exhaustive reference: (defect, equality set) from a scan of all of P with d0 <= p.
-
-    Cross-checks the closed form on small instances; the equality set lists every d with
-    <d, d> + p*(d0 - dinf) = 0 in enumeration order.  Level p of equality_levels_naive.
-    """
-    return equality_levels_naive(t, p)[p]
 
 
 def boundary_component_count(t: CanonicalType, p: int) -> int:

@@ -15,7 +15,8 @@ form, so one geometry._slice_minimum decides (its proof is in the geometry
 docstring); a negative minimum is attained by a triple built from the
 smallest minimizing slice, which is rechecked as a member of Z_p.  Only the
 consumers of all of Z_p enumerate it, through strata, the one reader of
-zpstream's search, which joins one walk per exceptional tube.
+zpstream's search, which joins one walk per exceptional tube; verify's
+enumerated checks and their window live in checks.
 """
 
 from __future__ import annotations
@@ -27,19 +28,19 @@ from typing import Iterator
 
 from . import geometry
 from .cones import DEFAULT_ZCAP, in_P, in_Q
-from .forms import (CanonicalType, DimVector, _Value, a_dim, basis_e, basis_h,
+from .forms import (CanonicalType, DimVector, _Value, a_dim, basis_h,
                     euler_form, euler_quadratic, format_dim_vector)
 from .tubes import RegularModuleClass, TubeIndec, dim_vector, end_dim, top_index
 
 
-# checks.zeroset_suite reads all of Z_p, which is desk-scale only, so it runs
-# its enumerated checks only within these limits.
-BRUTE_PRODUCT_LIMIT = 20
-BRUTE_P_LIMIT = 6
-
-
 class OutsideProvenRange(ValueError):
     """Raised for requests not covered by the proved closed-form bounds."""
+
+
+def _unseen(d: DimVector) -> Iterator[tuple[int, int]]:
+    """The tube simples (i, j) with <d, e_{i,j}> = d_{i,j} - d_{i,j+1} = 0."""
+    return ((i, j) for i, chain in enumerate(d.chains(), start=1)
+            for j, (a, b) in enumerate(pairwise(chain)) if a == b)
 
 
 class ZTriple(_Value):
@@ -63,8 +64,7 @@ class ZTriple(_Value):
         if total != self.q * basis_h(t):
             return False
         tops = {(x.arm, top_index(t, x)) for x in self.xclass}
-        return all((i, j) in tops or euler_form(t, self.dprime, basis_e(t, i, j)) != 0
-                   for i in range(1, t.n + 1) for j in range(t.m[i - 1]))
+        return tops.issuperset(_unseen(self.dprime))
 
     def to_dict(self) -> dict:
         return {
@@ -250,9 +250,7 @@ def _slice_witness(t: CanonicalType, p: int, s: int) -> ZTriple:
     arm, X is the sum of the tube simples d' leaves unseen and d'' the rest
     of p*h.  Raises RuntimeError if it is not a member of Z_p."""
     dprime = DimVector(s, 0, tuple(geometry._arm_first_chain(mi, s) for mi in t.m))
-    xclass = RegularModuleClass(tuple(
-        TubeIndec(i, j, 1) for i, chain in enumerate(dprime.chains(), start=1)
-        for j, (a, b) in enumerate(pairwise(chain)) if a == b))
+    xclass = RegularModuleClass(tuple(TubeIndec(i, j, 1) for i, j in _unseen(dprime)))
     z = ZTriple(dprime, p * basis_h(t) - dprime - dim_vector(t, xclass), xclass, p)
     if not z.is_member(t, p):
         raise RuntimeError(f"slice witness {z.to_dict()} is not in Z_p for {t}, p={p}")

@@ -10,13 +10,14 @@ from itertools import combinations, product
 from math import prod
 
 from canalg import checks
+from canalg.checks import equality_vectors_naive
 from canalg.cones import in_P
 from canalg.forms import (CanonicalType, basis_h, euler_quadratic,
                           format_dim_vector, gl_dim, slope_one_vector,
                           zero_vector)
 from canalg.geometry import (boundary_component_count, ci_defect,
                              ci_failure_witness, component_count,
-                             equality_vectors_naive, irreducible_components,
+                             irreducible_components,
                              is_complete_intersection, is_normal)
 from canalg.oracle import (LambdaChoice, build_exceptional_simple,
                            check_relations, direct_sum, hom_dim_linear,

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from canalg import checks, oracle, zeroset, zpstream
+from canalg import checks, oracle, tubes, zeroset, zpstream
 from canalg.cones import EnumerationCapExceeded, in_P
 from canalg.forms import CanonicalType, basis_e
 
@@ -226,6 +226,23 @@ def test_checks_report_their_first_counterexample(monkeypatch):
     got = {r.name: r for r in checks.oracle_suite(t, sizes=(1, 2), full=True)}
     assert got[f"oracle/homogeneous[{t}]"].details == "homogeneous size 1 not orthogonal to 1:0:1"
     assert got[f"oracle/hom-vs-tubes[{t}]"].details == "hom(1:0:1,1:0:1) = -1, tube model 1"
+
+
+def test_top_check_catches_an_off_by_one_top(monkeypatch):
+    # the top test reads hom_dim_tube's segment rule, not top_index, on the
+    # other side, so a top off by one fails it wherever it is read
+    t = CanonicalType((2, 3, 4))
+    name = f"tubes/end-and-periodicity[{t}]"
+    assert {r.name: r for r in checks.tubes_suite(t)}[name].ok
+    top = tubes.top_index
+
+    def shifted(t, x):
+        return (top(t, x) + 1) % t.arm_length(x.arm)
+
+    monkeypatch.setattr(tubes, "top_index", shifted)
+    monkeypatch.setattr(checks, "top_index", shifted)
+    got = {r.name: r for r in checks.tubes_suite(t)}[name]
+    assert (got.ok, got.details) == (False, "top test fails at 1:0:1, j=0")
 
 
 def test_oracle_hom_cone_pairing_present_and_passing():

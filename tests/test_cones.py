@@ -58,6 +58,10 @@ def test_count_P_matches():
 def test_enumerate_P_cap():
     with pytest.raises(EnumerationCapExceeded):
         list(enumerate_P(T222, 3, cap=10))
+    # the zero vector alone passes cap 0, with the same message
+    with pytest.raises(EnumerationCapExceeded,
+                       match=r"^cap 0 exceeded while enumerating P for 2,2,2, p=3$"):
+        list(enumerate_P(T222, 3, cap=0))
 
 
 def test_decompose_slope_one_examples():

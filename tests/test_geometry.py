@@ -5,15 +5,15 @@ from math import prod
 
 import pytest
 
-from canalg import geometry, zeroset
+from canalg import checks, geometry, zeroset
 from canalg.forms import (CanonicalType, DimVector, euler_quadratic,
                           format_dim_vector, zero_vector)
 from canalg.cones import EnumerationCapExceeded, _P_blocks, enumerate_P, in_P
-from canalg.geometry import (_arm_min, _arm_min_chains, _block_forms,
+from canalg.checks import _block_forms, equality_levels_naive, equality_vectors_naive
+from canalg.geometry import (_arm_min, _arm_min_chains,
                              boundary_component_count, ci_defect,
                              ci_failure_witness, ci_summary, classify_type,
-                             component_count, equality_levels_naive,
-                             equality_vectors_naive,
+                             component_count,
                              irreducible_components, is_complete_intersection,
                              is_normal)
 
@@ -195,9 +195,9 @@ def test_block_scan_keeps_the_enumeration_bounds(monkeypatch):
         equality_vectors_naive(T222, -1)
     assert equality_vectors_naive(T222, 0) == (0, [zero_vector(T222)])
     # 9 vectors of P at p = 1, 44 at p = 2: the cap counts the zero vector
-    monkeypatch.setattr(geometry, "DEFAULT_CAP", 44)
+    monkeypatch.setattr(checks, "DEFAULT_CAP", 44)
     assert len(equality_levels_naive(T222, 2)) == 3
-    monkeypatch.setattr(geometry, "DEFAULT_CAP", 43)
+    monkeypatch.setattr(checks, "DEFAULT_CAP", 43)
     with pytest.raises(EnumerationCapExceeded, match="cap 43 exceeded while enumerating P"):
         equality_levels_naive(T222, 2)
 

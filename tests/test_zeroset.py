@@ -441,6 +441,31 @@ def test_member_check_matches_the_covering_condition():
             assert ZTriple(z.dprime, ddouble, rest, z.q).is_member(t, 2) == \
                 (in_Q(t, ddouble) and covered), (z, x)
 
+
+def test_member_check_takes_no_pairing(monkeypatch):
+    # <d', e_{i,j}> is read as a step of d' along arm i, never through
+    # euler_form: every triple of Z_2 and each one-member-moved variant keeps
+    # the verdict of the covering condition taken with euler_form
+    t = CanonicalType((2, 3, 4))
+    cases = []
+    for z in enumerate_Zp(t, 2):
+        cases.append((z, True))
+        for k, x in enumerate(z.xclass.members):
+            rest = RegularModuleClass(z.xclass.members[:k] + z.xclass.members[k + 1:])
+            ddouble = z.ddouble + dim_vector(t, x)
+            covered = all(hom_to_simple_nonzero(t, rest, i, j)
+                          or euler_form(t, z.dprime, basis_e(t, i, j)) != 0
+                          for i in range(1, t.n + 1) for j in range(t.m[i - 1]))
+            cases.append((ZTriple(z.dprime, ddouble, rest, z.q), in_Q(t, ddouble) and covered))
+
+    def no_pairing(*args):
+        raise AssertionError("euler_form called")
+
+    monkeypatch.setattr(zeroset, "euler_form", no_pairing)
+    assert len(cases) > 1000 and {want for _, want in cases} == {True, False}
+    for z, want in cases:
+        assert z.is_member(t, 2) == want, z
+
 def test_wild_closed_form_on_proved_range():
     for arms in ((2, 3, 7), (2, 3, 8), (2, 4, 5), (2, 5, 5), (3, 3, 4), (3, 4, 4),
                  (2, 2, 2, 3), (2, 2, 3, 3)):
