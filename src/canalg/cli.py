@@ -224,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="highest level checked; for arm products up to 20 the zero-set "
                          "suite counts Z_p at p = min(pmax, 6) by key, without listing "
                          "its triples: the whole verify run takes about 0.3 s for 2,2,2 "
-                         "at 4 and 0.6 s at 6, 0.4 s for 2,2,2,2 at 4, and 4.6 s for "
-                         "2,2,4 at 4, which passes --cap after 38 s at 5")
+                         "at 4 and 0.6 s at 6, 0.3 s for 2,2,2,2 at 4, and 1.4 s for "
+                         "2,2,4 at 4, which passes --cap after 9 s at 5")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--samples", type=int, default=300,
                     help=f"vectors drawn per forms and cones check, at most {MAX_SAMPLES:,}; "

@@ -9,29 +9,30 @@ sum of its m_i squared steps from s down to 0, minus s^2; steps summing to s
 have the least square sum when balanced, so the minimum is a closed form and
 the minimizing chains are the placements of the s mod m_i longer steps.
 
-Both level questions are the least of f(s) = a*s + form(s), form(s) the
+Both level questions are the least of cost(s) = a*s + form(s), form(s) the
 least <d, d> on slice s in [1, p]: the CI cost with a = p and the zero-set
-deficiency (zeroset._least_deficiency) with a = p - n.  _slice_minimum reads
-at most 2L slices, L = lcm(m) (_slice_candidates): all of [1, p] when
-p <= 2L, else [1, L] and [p - L + 1, p].  With s = q*m_i + r the arm minimum
-is (s^2 (1/m_i - 1) + r (m_i - r)/m_i) / 2, so form(s) = -delta*s^2 +
-rho(s mod L) with rho >= 0: on each class s = r (mod L) in [1, p], f is a
-quadratic in s.  For delta > 0 it is strictly concave, so every least
-element of a class is one of its ends.  For delta <= 0, sum 1/m_i >= n - 2
-and each 1/m_i <= 1/2 give n <= 4 <= 2L, so p > 2L gives a >= p - n > 0 and
-f strictly increases along each class: only its first element can be least.
-A class's first element lies in [1, L] and its last in [p - L + 1, p], so
-in both cases the candidates hold every least slice of f: the exact least
-cost, the tight slices (the least ones when the least cost is 0; none when
-it is positive) and the smallest s of least deficiency, the zero-set witness;
-verify checks them against an exhaustive scan of P, which lives in checks.
+deficiency (zeroset._least_deficiency) with a = p - n.  With s = q*m_i + r
+the arm minimum is (s^2 (1/m_i - 1) + r (m_i - r)/m_i) / 2, so form(s) =
+-delta*s^2 + rho(s) with 0 <= rho <= R = sum(m_i)/8, and cost(s) >= f(s) =
+a*s - delta*s^2.  The least cost is at most c = min(cost(1), cost(p)), so
+every least slice has f <= c, as has the end attaining c; f is a quadratic,
+so {f <= c} on [1, p] is a run from 1 and a run to p (for delta > 0 the
+complement of an open interval, else an interval holding that end), and
+_slice_minimum walks each until f > c, in integers as 2*lcm(m)*delta is one.
+For delta > 0, f lies delta*(s - 1)*(p - s) above its chord and c at most R
+above the chord's lower end, so f <= c gives min(s - 1, p - s)^2 <= R/delta,
+where 2*delta >= 1/42, met at (2,3,7).  For delta <= 0, n <= 4; a >= 1 gives
+f(s) >= f(1) + s - 1 and c <= cost(1) = f(1) + 1 + delta, so s <= 2; a < 1
+gives p <= n.  So at most max(4, 2*sqrt(R/delta) + 2) slices are read (the
+ends alone for delta > 0 once p > R/delta + 2), and they hold the least cost,
+the tight slices and the smallest slice of least deficiency (the witness).
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, takewhile
 from math import comb, prod
-from typing import Iterator, Literal
+from typing import Literal
 
 from .cones import DEFAULT_CAP, EnumerationCapExceeded
 from .forms import CanonicalType, DimVector, basis_h, euler_quadratic, zero_vector
@@ -93,27 +94,25 @@ def _slice_form(t: CanonicalType, s: int) -> int:
     return s * s + sum(_arm_min(mi, s) for mi in t.m)
 
 
-def _slice_candidates(t: CanonicalType, p: int) -> Iterator[int]:
-    """The slices that decide level p, ascending: all of [1, p] when
-    p <= 2*lcm(m), else [1, lcm] and [p - lcm + 1, p] (module docstring)."""
-    L = t.lcm
-    return chain(range(1, min(p, L) + 1), range(max(L, p - L) + 1, p + 1))
-
-
 def _slice_minimum(t: CanonicalType, p: int, a: int) -> tuple[int, list[int]]:
     """Least a*s + _slice_form(t, s) over the slices s in [1, p] and every s
-    attaining it, ascending, from _slice_candidates, which hold all of them
-    for a = p and a = p - n (module docstring)."""
+    attaining it, ascending, read on the ends and on the runs from each end
+    where a*s - delta*s^2 is at most the lesser end's (module docstring)."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    least, at = a + 1, []  # the value at slice 1, whose arms all cost 0
-    for s in _slice_candidates(t, p):
-        value = a * s + _slice_form(t, s)
-        if value < least:
-            least, at = value, [s]
-        elif value == least:
-            at.append(s)
-    return least, at
+    L = t.lcm
+    delta_2l = L * (t.n - 2) - sum(L // mi for mi in t.m)  # 2*L*delta
+    cost = {s: a * s + _slice_form(t, s) for s in (1, p)}
+    c = min(cost.values())
+
+    def may_be_least(s: int) -> bool:  # a*s - delta*s^2 <= c
+        return 2 * L * (a * s - c) <= delta_2l * s * s
+
+    head = list(takewhile(may_be_least, range(1, p + 1)))
+    tail = takewhile(may_be_least, range(p, len(head), -1))
+    cost |= {s: a * s + _slice_form(t, s) for s in chain(head, tail) if s not in cost}
+    least = min(cost.values())
+    return least, sorted(s for s, value in cost.items() if value == least)
 
 
 def _slices(t: CanonicalType, p: int) -> tuple[int, list[int]]:

@@ -281,7 +281,7 @@ def zeroset_is_ci(t: CanonicalType, p: int) -> bool:
     """Whether the deficiency is nonnegative over all of Z_p.
 
     The least deficiency has a closed form over the slices s in [1, p], read
-    from at most 2*lcm(m) of them, so the answer enumerates nothing; a
+    from a few of them near the ends, so the answer enumerates nothing; a
     negative least is attained by a member of Z_p (ZeroSetReport gives it as
     the witness).
     Every type with delta < 1 has an irreducible variety at p*h, so the

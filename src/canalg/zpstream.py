@@ -64,7 +64,8 @@ def _arm_candidates(t: CanonicalType, i: int, level: int):
     source, so the path holds its largest coordinate.  Along the path the
     coordinates count the composition factors by residue mod m_i, so the
     largest is ceil(qlen/m_i), which fits ``level`` exactly when
-    qlen <= m_i*level.
+    qlen <= m_i*level.  Each count grows with qlen at a fixed socle, so a
+    candidate that does not fit is followed by none of its socle that does.
     """
     mi = t.m[i - 1]
     xs = [TubeIndec(i, a, qlen) for a in range(mi) for qlen in range(1, mi * level + 1)]
@@ -130,6 +131,7 @@ class _ArmZp:
         dim X_i = r_i*h + v_i.
         """
         cands = self.arm_cands[mi]
+        per = len(cands) // mi  # the candidates of one socle
         pe = [b - a for a, b in pairwise(path)]  # <d', e_{i,j}> for j in [0, mi)
         needed = sum(1 << j for j, v in enumerate(pe) if v == 0)
         pairs = [sum(map(mul, dims, pe)) for dims, *_ in cands]
@@ -139,15 +141,18 @@ class _ArmZp:
             if covered & needed == needed and all(a <= b for a, b in pairwise(rest)):
                 r = path[0] - rest[0]
                 out.append((tuple(members), r, pair, xx, tuple(v + r for v in rest[1:-1])))
-            for k in range(start, len(cands)):
+            k = start
+            while k < len(cands):
                 dims, top, both, own = cands[k]
                 left = tuple(map(sub, rest, dims))
-                if min(left) < 0:
+                if min(left) < 0:  # nor do the longer ones of its socle
+                    k = (k // per + 1) * per
                     continue
                 new_xx = xx + own + sum(map(both.__getitem__, members))
                 members.append(k)
                 extend(k, left, covered | top, members, pair + pairs[k], new_xx)
                 members.pop()
+                k += 1
 
         extend(0, path, 0, [], 0, 0)
         return out

@@ -304,6 +304,33 @@ def test_level_queries_read_at_most_two_lcm_slices(capsys, monkeypatch):
     assert answers["3,3,3,3,3,3,3", "components"] == (2, None)
 
 
+def test_level_queries_on_a_large_lcm_read_few_slices(capsys, monkeypatch):
+    # lcm(997,991,983) = 971,230,541: the slices read are bounded by neither p
+    # nor lcm(m), and past the bound the count stops the query (exit 3)
+    limit, p = 64, 10**9
+    calls = []
+    slice_form = geometry._slice_form
+
+    def counted(t, s):
+        calls.append(s)
+        if len(calls) > limit:
+            raise AssertionError(f"more than {limit} slices read")
+        return slice_form(t, s)
+
+    monkeypatch.setattr(geometry, "_slice_form", counted)
+    answers = {}
+    for command in ["ci", "components", "zeroset"]:
+        calls.clear()
+        answers[command] = run_json(capsys, command, "--type", "997,991,983", "--p", str(p))
+        assert len(calls) <= limit, (command, len(calls))
+    assert answers["ci"][:2] == (0, {"p": p, "is_ci": True, "is_normal": True,
+                                     "components": 1, "defect": 0})
+    code, payload, _ = answers["components"]
+    assert code == 0 and payload["count"] == 1
+    code, payload, _ = answers["zeroset"]
+    assert code == 0 and payload["is_ci"] is True
+
+
 def test_each_level_query_makes_one_slice_scan(capsys, monkeypatch):
     # ci and components minimise the CI cost (a = p), zeroset the deficiency
     # (a = p - n): one scan of the slices each
@@ -322,6 +349,18 @@ def test_each_level_query_makes_one_slice_scan(capsys, monkeypatch):
             code, _, _ = run_json(capsys, command, "--type", arms, "--p", str(p))
             want = [p - 3] if command == "zeroset" else [p]
             assert code == 0 and calls == want, (arms, command, calls)
+
+
+def test_verify_help_states_the_zero_set_window(capsys):
+    # cli never imports checks, so the help states the window as text: pin it
+    # to the constants it quotes
+    from canalg import checks
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"for arm products up to {checks.BRUTE_PRODUCT_LIMIT} the zero-set" in text
+    assert f"at p = min(pmax, {checks.BRUTE_P_LIMIT}) by key" in text
 
 
 def test_verify_cap_bounds_zero_set_triples(capsys):

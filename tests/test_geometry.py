@@ -114,7 +114,7 @@ def test_dp_matches_naive_small():
 
 
 def _slices_full_range(t, p):
-    # the reference: every slice s in [1, p], not just geometry._slice_candidates
+    # the reference: every slice s in [1, p], not just those geometry._slice_minimum reads
     costs = [p * s + geometry._slice_form(t, s) for s in range(1, p + 1)]
     return min(costs), [s for s, c in enumerate(costs, start=1) if c == 0]
 
@@ -145,6 +145,11 @@ def test_slice_candidates_match_full_range():
     for m in [(5,) * 5, (3,) * 6, (3,) * 7, (2,) * 8, (2, 3, 7)]:
         t = CanonicalType(m)
         for p in (2 * t.lcm - 1, 2 * t.lcm, 2 * t.lcm + 1, 3 * t.lcm):
+            _assert_candidates_match_full_range(t, p)
+    # long arms, many arms and large lcm(m), at small p
+    for m in [(97, 89, 83), (2, 2, 1999), (2, 3, 97), (40, 40, 40), (2,) * 30]:
+        t = CanonicalType(m)
+        for p in range(1, 61):
             _assert_candidates_match_full_range(t, p)
 
 
