@@ -146,17 +146,20 @@ def cmd_verify(args) -> int:
 
 
 # Largest --sizes the oracle takes: on a shared 2-core x86-64 host the full
-# (2,3,4) battery took 35 s at 40, 54 s at 45 and 83 s at 48.
+# (2,3,4) battery takes about 5 s at 40 and 6 s at 45 as a process.
 MAX_ORACLE_SIZES = 45
 # Most Hom systems between tube modules `oracle --full` solves, one per pair
 # of its 2*|m| modules: on the same host `--type 150,150,150 --full --sizes 1`
-# (810,000 systems) took 52 s, `120,120,120` (518,400) 25 s.
+# (810,000 systems) takes about 9 s, `120,120,120` (518,400) 5 s.
 MAX_ORACLE_PAIRS = 810_000
 # Most unknowns `oracle --full` takes in the Hom systems between its
-# homogeneous modules: Hom(J_s, J_s') has s*s' unknowns at each of the V
-# vertices, V*(S(S+1)/2)^2 over all s, s' <= S = --sizes.  The bound is its
-# value at 2,3,4 --sizes 45 (V = 8), so long arms get fewer sizes: 40,40,40
-# (V = 119) stops at --sizes 22, which took 32 s on the host above.
+# homogeneous modules, counted on the whole quiver: Hom(J_s, J_s') has s*s'
+# unknowns at each of the V vertices, V*(S(S+1)/2)^2 over all s, s' <= S =
+# --sizes.  The bound is its value at 2,3,4 --sizes 45 (V = 8), so long arms
+# get fewer sizes: 40,40,40 (V = 119) stops at --sizes 22, which takes about
+# 2 s on the host above.  hom_dim_linear solves each of these systems as one
+# block of s*s' unknowns on the contracted quiver, so the count overstates
+# the work by the factor V.
 MAX_ORACLE_UNKNOWNS = 8 * (45 * 46 // 2) ** 2
 
 
@@ -241,16 +244,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sizes", type=int, default=3,
                     help="largest homogeneous quasi-length S to build, at most "
                          f"{MAX_ORACLE_SIZES}; the full battery solves an exact Hom system "
-                         "per pair of them, with V*(S(S+1)/2)^2 unknowns in all on the V "
+                         "per pair of them, with V*(S(S+1)/2)^2 unknowns in all counted on the V "
                          f"vertices, refused past {MAX_ORACLE_UNKNOWNS:,} (2,3,4 at "
                          f"{MAX_ORACLE_SIZES}, 40,40,40 at 22): the full 2,3,4 battery takes "
-                         f"about 1 s at 15, 4 s at 20 and 55 s at {MAX_ORACLE_SIZES}, "
-                         "40,40,40 about 32 s at 22")
+                         f"about 0.3 s at 15, 0.5 s at 20 and 6 s at {MAX_ORACLE_SIZES}, "
+                         "40,40,40 about 2 s at 22")
     sp.add_argument("--full", action="store_true",
                     help="force the full pairwise Hom battery: one exact Hom system per "
                          "pair of the 2*|m| tube modules, refused past "
                          f"{MAX_ORACLE_PAIRS:,} pairs (|m| = 450); 120,120,120 at "
-                         "--sizes 1 takes about 25 s")
+                         "--sizes 1 takes about 5 s")
     return parser
 
 

@@ -72,9 +72,13 @@ def rank(rows: list[SparseRow]) -> int:
     Rows enter sparsest first (a stable sort on their nonzero count) and
     lead at their highest column, so short rows become pivots before long
     ones are reduced and the low columns are eliminated last.  For the Hom
-    systems of `oracle.hom_dim_linear` the low columns are the d0 and dinf
-    blocks, which every arm touches, so this order keeps the reduced rows
-    from filling in (a static Markowitz order).
+    systems of `oracle.hom_dim_linear` the lowest columns are the block that
+    holds 0, and the next the one that holds inf unless an arm joins the
+    two.  Those blocks are the ones every arm touches: on the contracted
+    quiver each arm's first cut reads 0's block and its last reads inf's,
+    while an inner block lies on one arm between two cuts.  Eliminating the
+    shared blocks last keeps the reduced rows from filling in (a static
+    Markowitz order).
     """
     pivots: dict[int, SparseRow] = {}
     for row in sorted(rows, key=len):

@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, pairwise
 from math import lcm
-from operator import mul
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -33,16 +32,24 @@ from .linalg import Matrix
 class LambdaChoice(_Value):
     """The pairwise distinct nonzero parameters lambda_3, ..., lambda_n."""
 
-    __slots__ = _fields = ("lambdas",)
+    _fields = ("lambdas",)
+    __slots__ = (*_fields, "_hash")
 
     def __init__(self, lambdas: tuple[Fraction, ...]) -> None:
         vals = tuple(Fraction(x) for x in lambdas)
         self._set(vals)
+        # the field tuple's hash, kept: each Hom system looks its
+        # representations' relation verdicts up by this key, and a Fraction
+        # hashes in Python
+        object.__setattr__(self, "_hash", super().__hash__())
         if any(v == 0 for v in vals):
             raise ValueError("tube parameters must be nonzero")
         if len(set(vals)) != len(vals):
             raise ValueError("tube parameters must be pairwise distinct, got "
                              + ", ".join(map(str, vals)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def default_for(cls, t: CanonicalType) -> "LambdaChoice":
@@ -69,6 +76,12 @@ def _arrows(d: DimVector) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
             yield (i, j), shape
 
 
+def _is_identity(m: Matrix, rows: int, cols: int) -> bool:
+    """Whether the rows x cols matrix m is the identity (0 x 0 included)."""
+    return rows == cols and all(row[r] == 1 and not any(row[:r]) and not any(row[r + 1:])
+                                for r, row in enumerate(m))
+
+
 class MatrixRep(_Value):
     """Arrow matrices over exact rationals, one per arrow (i, j), j in [1, m_i].
 
@@ -76,13 +89,15 @@ class MatrixRep(_Value):
     (i, j - 1) and therefore has shape d_{i,j-1} x d_{i,j}; arrows left out
     of ``mats`` carry the zero matrix.  Construction copies ``mats`` into a
     read-only mapping of tuples and checks every shape once.  Besides its
-    fields a rep keeps two caches, which ``==``, ``hash`` and ``repr`` skip:
-    ``_relations`` (check_relations' verdict per LambdaChoice) and
-    ``_cleared`` (see ``cleared``).
+    fields a rep keeps four records, which ``==``, ``hash`` and ``repr``
+    skip: ``_relations`` (check_relations' verdict per LambdaChoice),
+    ``_cleared`` (see ``cleared``), ``_dims`` (the dimension vector in
+    ``DimVector.entries`` order) and ``_cuts`` (per arm, the j whose arrow
+    (i, j) is not the identity, in increasing order).
     """
 
     _fields = ("t", "dim", "mats")
-    __slots__ = (*_fields, "_relations", "_cleared")
+    __slots__ = (*_fields, "_relations", "_cleared", "_dims", "_cuts")
 
     def __init__(self, t: CanonicalType, dim: DimVector,
                  mats: Mapping[tuple[int, int], Matrix] = MappingProxyType({})) -> None:
@@ -91,7 +106,7 @@ class MatrixRep(_Value):
         shapes = dict(_arrows(dim))
         if not mats.keys() <= shapes.keys():
             raise ValueError(f"matrices must sit on the arrows of type {t}")
-        full = {arrow: tuple(map(tuple, mats.get(arrow, linalg.zeros(*shape))))
+        full = {arrow: tuple(map(tuple, mats[arrow])) if arrow in mats else linalg.zeros(*shape)
                 for arrow, shape in shapes.items()}
         for (i, j), m in full.items():
             rows, cols = shapes[(i, j)]
@@ -100,6 +115,10 @@ class MatrixRep(_Value):
         self._set(t, dim, MappingProxyType(full))
         object.__setattr__(self, "_relations", {})
         object.__setattr__(self, "_cleared", {})
+        object.__setattr__(self, "_dims", tuple(dim.entries()))
+        object.__setattr__(self, "_cuts", tuple(
+            tuple(j for j in range(1, mi + 1) if not _is_identity(full[(i, j)], *shapes[(i, j)]))
+            for i, mi in enumerate(t.m, start=1)))
 
     def mat(self, i: int, j: int) -> Matrix:
         return self.mats[(i, j)]
@@ -115,11 +134,14 @@ class MatrixRep(_Value):
         return self._cleared[(i, j)]
 
     def composition(self, i: int) -> Matrix:
-        """Product of the arm-i matrices, a d0 x dinf matrix."""
-        chain = self.dim.chains()[i - 1]
-        if 0 in chain:
+        """Product of the arm-i matrices, a d0 x dinf matrix; the identity
+        arrows are skipped."""
+        if 0 in self.dim.chains()[i - 1]:
             return linalg.zeros(self.dim.d0, self.dim.dinf)
-        return reduce(linalg.matmul, (self.mats[(i, j)] for j in range(1, len(chain))))
+        cuts = self._cuts[i - 1]
+        if not cuts:
+            return self.mats[(i, 1)]
+        return reduce(linalg.matmul, (self.mats[(i, j)] for j in cuts))
 
     def to_dict(self, lam: LambdaChoice | None = None) -> dict:
         def frac(x: Fraction) -> str:
@@ -146,13 +168,14 @@ def check_relations(t: CanonicalType, lam: LambdaChoice, rep: MatrixRep) -> bool
     """
     if rep.t != t:
         raise ValueError(f"representation of type {rep.t}, not {t}")
-    lam.check_against(t)
-    if lam not in rep._relations:
+    verdict = rep._relations.get(lam)
+    if verdict is None:
+        lam.check_against(t)
         c1, c2 = rep.composition(1), rep.composition(2)
-        rep._relations[lam] = all(
+        verdict = rep._relations[lam] = all(
             linalg.combine(c1, lam.lam(i), c2) == rep.composition(i)
             for i in range(3, t.n + 1))
-    return rep._relations[lam]
+    return verdict
 
 
 def _arm_maps(t: CanonicalType, lam: LambdaChoice, size: int,
@@ -287,8 +310,24 @@ def hom_dim_linear(t: CanonicalType, lam: LambdaChoice,
     """dim Hom computed as the exact nullity of the intertwining system.
 
     Unknowns are the per-vertex blocks f_x of shape dim_N(x) x dim_M(x);
-    each arrow (i, j) imposes f_{(i,j-1)} M_{i,j} = N_{i,j} f_{(i,j)}.  The
-    denominators are cleared once per arrow: every entry of M_{i,j} and
+    each arrow (i, j) from v = (i, j) to w = (i, j-1) imposes
+    f_w M_{i,j} = N_{i,j} f_v.  The system is built on the contracted
+    quiver.  Where both M_{i,j} and N_{i,j} are identities (of size 0
+    included) the equation reads f_w = f_v for two blocks of one shape.
+    Substituting f_v for f_w maps the solutions of the system one to one
+    onto those of the system with the two blocks merged, so merging them
+    keeps the nullity.  Every other arrow is a cut.  Each arm is a path
+    from 0 to inf, so the merged classes are the stretches between an arm's
+    cuts: the stretch before the first cut joins 0, the one after the last
+    joins inf, and an arm with no cut joins 0 to inf.  Both dimensions are
+    constant along a class, so each class is one block, read at any of its
+    vertices.  Rows come from the cuts alone; a cut whose two ends lie in
+    one class (0 and inf, joined by another arm) sums the entries of f M
+    and N f on the same column.  The work depends on the cuts of the two
+    representations, kept per rep in ``_cuts``, and not on the number of
+    vertices.
+
+    The denominators are cleared once per arrow: every entry of M_{i,j} and
     N_{i,j} is scaled by the lcm of all their denominators (the lcm of the
     two kept by `MatrixRep.cleared`), which scales each equation of the
     arrow by the same nonzero integer and so keeps the rank.  The rows go to
@@ -297,33 +336,51 @@ def hom_dim_linear(t: CanonicalType, lam: LambdaChoice,
     for rep in (m_rep, n_rep):
         if not check_relations(t, lam, rep):
             raise ValueError("representation does not satisfy the arm relations")
-    # vertices in DimVector.entries order; f_x takes the columns from offsets[x]
-    dn, dm = tuple(n_rep.dim.entries()), tuple(m_rep.dim.entries())
-    offsets = list(accumulate(map(mul, dn, dm), initial=0))
+    dm, dn = m_rep._dims, n_rep._dims
+    arms = [a if a == b else sorted({*a, *b}) for a, b in zip(m_rep._cuts, n_rep._cuts)]
+    # One vertex per block, in column order: 0's block, inf's unless an arm
+    # without a cut joins it to 0's, then the inner stretches arm by arm.
+    blocks = [0, 1] if all(arms) else [0]
+    inf_block = len(blocks) - 1
+    cuts = []  # (i, j, block of w, block of v) for each cut that yields rows
+    for i, (index, arm) in enumerate(zip(t.chain_index, arms), start=1):
+        bw = 0
+        for j in arm:
+            if j == arm[-1]:
+                bv = inf_block
+            else:
+                bv = len(blocks)
+                blocks.append(index[j])
+            if dn[index[j - 1]] * dm[index[j]]:
+                cuts.append((i, j, bw, bv))
+            bw = bv
+    offsets = list(accumulate((dn[x] * dm[x] for x in blocks), initial=0))
     ncols = offsets.pop()
     if ncols == 0:
         return 0
 
-    # Row (i, j, r, c) is entry (r, c) of f_w M_{i,j} - N_{i,j} f_v; the
-    # blocks of f_w and f_v never share a column, so its nonzero entries are
-    # those of column c of M_{i,j} and of row r of N_{i,j}.
+    # Row (r, c) of a cut is entry (r, c) of f_w M_{i,j} - N_{i,j} f_v: the
+    # entries of column c of M_{i,j} and of row r of N_{i,j}.
     rows: list[linalg.SparseRow] = []
-    for i, index in enumerate(t.chain_index, start=1):
-        for j, (w, v) in enumerate(pairwise(index), start=1):
-            dnw, dmw, dmv = dn[w], dm[w], dm[v]
-            if dnw * dmv == 0:
-                continue
-            (m_scale, m_mat), (n_scale, n_mat) = m_rep.cleared(i, j), n_rep.cleared(i, j)
-            scale = lcm(m_scale, n_scale)
-            m_factor, n_factor = scale // m_scale, -(scale // n_scale)
-            m_cols = [[(offsets[w] + k, m_factor * m_mat[k][c]) for k in range(dmw) if m_mat[k][c]]
-                      for c in range(dmv)]
-            n_rows = [[(offsets[v] + k * dmv, n_factor * x) for k, x in enumerate(row) if x]
-                      for row in n_mat]
-            for r in range(dnw):
-                for c in range(dmv):
-                    row = {col + r * dmw: x for col, x in m_cols[c]}
-                    row.update((col + c, x) for col, x in n_rows[r])
-                    if row:
-                        rows.append(row)
+    for i, j, bw, bv in cuts:
+        w, v = blocks[bw], blocks[bv]
+        dnw, dmw, dmv = dn[w], dm[w], dm[v]
+        (m_scale, m_mat), (n_scale, n_mat) = m_rep.cleared(i, j), n_rep.cleared(i, j)
+        scale = lcm(m_scale, n_scale)
+        m_factor, n_factor = scale // m_scale, -(scale // n_scale)
+        m_cols = [[(offsets[bw] + k, m_factor * m_mat[k][c]) for k in range(dmw) if m_mat[k][c]]
+                  for c in range(dmv)]
+        n_rows = [[(offsets[bv] + k * dmv, n_factor * x) for k, x in enumerate(row) if x]
+                  for row in n_mat]
+        for r in range(dnw):
+            for c in range(dmv):
+                row = {col + r * dmw: x for col, x in m_cols[c]}
+                for col, x in n_rows[r]:
+                    y = row.get(col + c, 0) + x
+                    if y:
+                        row[col + c] = y
+                    else:
+                        del row[col + c]
+                if row:
+                    rows.append(row)
     return ncols - linalg.rank(rows)

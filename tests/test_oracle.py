@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from canalg import zpstream
+from canalg import linalg, zpstream
 from canalg.checks import oracle_suite
-from canalg.forms import (CanonicalType, basis_e, basis_einf, basis_h,
+from canalg.forms import (CanonicalType, basis_e, basis_e0, basis_einf, basis_h,
                           parse_dim_vector, slope_one_vector)
 from canalg.oracle import (LambdaChoice, MatrixRep, build_exceptional_simple,
                            build_homogeneous, build_length_two, build_uniserial,
@@ -369,3 +369,79 @@ def test_tube_model_at_every_quasi_length_Zp_uses(arms, lambdas, level):
     for _ in range(200):
         (x, xrep), (y, yrep) = (rng.choice(tube) for tube in rng.sample(tubes, 2))
         assert hom_dim_linear(t, lam, xrep, yrep) == 0, (x, y)
+
+
+@pytest.mark.parametrize("arms, lambdas", [
+    ((2, 2, 2), None),
+    ((2, 3, 4), (Fraction(-4, 7),)),
+    ((2, 2, 3, 3), (Fraction(1, 3), Fraction(5, 2))),
+    ((3, 3, 3), None),
+])
+def test_hom_dim_linear_matches_plain_solver(arms, lambdas):
+    # _dense_hom keeps one block per vertex and one row per arrow entry, so
+    # it checks the contraction of arrows on which both modules carry the
+    # identity: uniserials through 0 and inf, homogeneous modules at two
+    # parameters, cone points and direct sums of them all
+    t = CanonicalType(arms)
+    lam = LambdaChoice(lambdas) if lambdas else LambdaChoice.default_for(t)
+    rng = random.Random(f"plain/{arms}")
+    mods = [build_uniserial(t, lam, i, a, l)
+            for i, mi in enumerate(t.m, start=1) for a in range(mi) for l in (1, 2, mi + 1)]
+    mods += [build_homogeneous(t, lam, mu, s) for mu in (Fraction(7, 3), Fraction(-5))
+             for s in (1, 2)]
+    h = basis_h(t)
+    mods += [random_cone_point(t, lam, d, rng) for d in (h + basis_e0(t), h + basis_einf(t))]
+    mods += [direct_sum(*rng.sample(mods, 2)) for _ in range(4)]
+    for _ in range(150):
+        a, b = rng.choice(mods), rng.choice(mods)
+        assert hom_dim_linear(t, lam, a, b) == _dense_hom(t, a, b), (a.dim, b.dim)
+
+
+def test_homogeneous_pair_is_one_block(monkeypatch):
+    # every arrow of a homogeneous module but the first of each arm is the
+    # identity, and arm 2's first arrow is too, so Hom(J_s, J_s') has one
+    # block of s*s' unknowns whatever the number of vertices
+    t = CanonicalType((40, 40, 40))
+    lam = LambdaChoice.default_for(t)
+    a, b = build_homogeneous(t, lam, Fraction(3), 3), build_homogeneous(t, lam, Fraction(3), 2)
+    systems = []
+    rank = linalg.rank
+
+    def capture(rows):
+        systems.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(linalg, "rank", capture)
+    assert hom_dim_linear(t, lam, a, b) == hom_dim_linear(t, lam, b, a) == 2
+    # two cut arrows (arms 1 and 3) of 3*2 entries each
+    assert [max(c for row in rows for c in row) for rows in systems] == [5, 5]
+    assert all(len(rows) <= 2 * 6 for rows in systems)
+
+
+def test_zero_matrices_only_for_missing_arrows(monkeypatch):
+    def refuse(rows, cols):
+        raise AssertionError("a zero matrix was built")
+
+    monkeypatch.setattr(linalg, "zeros", refuse)
+    rep = build_homogeneous(T234, LAM, Fraction(2), 3)
+    assert check_relations(T234, LAM, rep)
+    with pytest.raises(AssertionError):
+        MatrixRep(T234, rep.dim, {})
+
+
+def test_relation_verdicts_are_found_without_hashing_fractions(monkeypatch):
+    a, b = build_length_two(T234, LAM, 3, 0), build_homogeneous(T234, LAM, Fraction(2), 2)
+    assert hom_dim_linear(T234, LAM, a, b) == 0
+    hashed = []
+    fraction_hash = Fraction.__hash__
+
+    def counted(x):
+        hashed.append(1)
+        return fraction_hash(x)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    for _ in range(3):
+        assert hom_dim_linear(T234, LAM, a, b) == hom_dim_linear(T234, LAM, b, a) == 0
+    assert not hashed
+    lam = LambdaChoice((Fraction(1),))
+    assert hashed and check_relations(T234, lam, a)
