@@ -9,8 +9,7 @@ The references only verify runs live here too, with their windows.  The
 exhaustive scan (equality_levels_naive) checks geometry's closed form against
 every vector of P, read once up to the top level one (d0, dinf) block at a
 time, level p being the blocks with d0 <= p; in a block the form is summed arm
-by arm (the arms share no vertex and no arrow), one euler_quadratic call for
-the base and one per chain.  It reads no h-shift, no balanced step and no
+by arm (cones._arm_forms).  It reads no h-shift, no balanced step and no
 tight slice: euler_form is its only evaluator of the form.
 """
 
@@ -24,7 +23,7 @@ from math import prod
 from typing import Iterator
 
 from . import geometry, oracle
-from .cones import (DEFAULT_CAP, DEFAULT_ZCAP, EnumerationCapExceeded, _P_blocks,
+from .cones import (DEFAULT_CAP, DEFAULT_ZCAP, EnumerationCapExceeded, _arm_forms, _P_blocks,
                     decompose_slope_one, in_P, in_Q)
 from .forms import (CanonicalType, DimVector, _Value, a_dim, basis_e, basis_e0, basis_h,
                     euler_form, euler_quadratic, gl_dim,
@@ -208,18 +207,8 @@ BRUTE_P_LIMIT = 6
 def _block_forms(t: CanonicalType, d0: int, dinf: int,
                  chains: list[list[tuple[int, ...]]]) -> list[int]:
     """<d, d> for each d = DimVector(d0, dinf, combo) of a block of P, combo
-    over product(*chains) in order, from one euler_quadratic call per chain.
-
-    With B = (d0, dinf, zero arms) and A_i arm i's interior part, two arms
-    share no vertex and no arrow, so <A_i, A_j> = 0 for i != j, and by
-    bilinearity <d, d> = <B, B> + sum_i (<B + A_i, B + A_i> - <B, B>).
-    """
-    arms = zero_vector(t).arms
-    base = euler_quadratic(t, DimVector(d0, dinf, arms))
-    tables = [[euler_quadratic(t, DimVector(d0, dinf, (*arms[:i], c, *arms[i + 1:]))) - base
-               for c in arm_chains] for i, arm_chains in enumerate(chains)]
-    tables[0] = [base + x for x in tables[0]]
-    return list(map(sum, product(*tables)))
+    over product(*chains) in order, summed from cones._arm_forms."""
+    return list(map(sum, product(*_arm_forms(t, d0, dinf, chains))))
 
 
 def equality_levels_naive(t: CanonicalType, pmax: int) -> list[tuple[int, list[DimVector]]]:
@@ -394,10 +383,11 @@ def zeroset_suite(t: CanonicalType, pmax: int = 4,
     if t.product > BRUTE_PRODUCT_LIMIT or pmax > BRUTE_P_LIMIT:
         return out
 
-    # Z_pmax is counted arm by arm, not listed: the tally reads how many
-    # triples carry each (q, th, sd, pair, xx).  Only the blocks holding the
-    # first and last 200 triples are listed for the membership recheck, and
-    # all of strata only to name the first triple that breaks the end bound.
+    # Z_pmax is counted one P-block (d0, 0) and level at a time, not listed:
+    # the tally reads how many triples carry each (q, th, sd, pair, xx).  Only
+    # the blocks holding the first and last 200 triples are joined, for the
+    # membership recheck, and strata is read only to name the first triple
+    # that breaks the end bound.
     from .zpstream import _ArmZp
 
     zp = _ArmZp(t, pmax)

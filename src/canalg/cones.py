@@ -11,6 +11,7 @@ from itertools import combinations_with_replacement, pairwise, product
 from math import comb, prod
 from typing import Iterator
 
+from . import forms
 from .forms import CanonicalType, DimVector, _check_shape, zero_vector
 
 DEFAULT_CAP = 10**8  # vectors of P
@@ -52,6 +53,19 @@ def _P_blocks(t: CanonicalType, p: int) -> Iterator[tuple[int, int, list[list[tu
             values = range(d0, dinf - 1, -1)
             yield d0, dinf, [list(combinations_with_replacement(values, mi - 1))[::-1]
                              for mi in t.m]
+
+
+def _arm_forms(t: CanonicalType, d0: int, dinf: int,
+               chains: list[list[tuple[int, ...]]]) -> list[list[int]]:
+    """<d, d> on a block of P split by arm: per arm i a list over chains[i],
+    <d, d> being the sum of one entry of each.  Arms share no vertex and no
+    arrow, so by bilinearity arm i's entry for A is <B + A, B + A> - <B, B>,
+    B = (d0, dinf, zero arms), with <B, B> added on the first arm; one
+    euler_quadratic call per base and chain."""
+    arms = zero_vector(t).arms
+    base = forms.euler_quadratic(t, DimVector(d0, dinf, arms))
+    return [[forms.euler_quadratic(t, DimVector(d0, dinf, (*arms[:i], c, *arms[i + 1:])))
+             - (i > 0) * base for c in arm_chains] for i, arm_chains in enumerate(chains)]
 
 
 def enumerate_P(t: CanonicalType, p: int, cap: int = DEFAULT_CAP) -> Iterator[DimVector]:

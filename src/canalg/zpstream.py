@@ -5,11 +5,11 @@ Its consumers, zeroset.strata (the one reader of ``blocks``) and the verify
 zero-set suite in checks, keep what they conclude from Z_p; it imports
 nothing of zeroset.  strata reads the leaves of each (q, d') block as ints
 and tuples, and ``triple`` gives a leaf as (d', d'', X, q), which it wraps
-as a zeroset.ZTriple where it hands it out.  Only those consumers
-import this module, inside the functions, so the queries that never
-enumerate Z_p do not compile it.  It calls the public functions of the other
-modules through their modules, so a wrapper rebound there is seen here and
-undone with it.
+as a zeroset.ZTriple where it hands it out.  Only those consumers import
+this module, inside the functions, so the queries that never enumerate Z_p
+do not compile it.  It calls the public functions of the other modules
+through their modules, so a wrapper rebound there is seen here and undone
+with it.
 
 Fix a block (q, d') and write X = X_1 + ... + X_n with X_i the members of X
 in tube i.
@@ -35,19 +35,25 @@ So the triples of a block are the choices of one multiset X_i per arm that
 passes the arm's tests, with R <= q - d'_0.  One walk per arm lists those
 multisets with their (r_i, <d', dim X_i>, dim End X_i).  The search
 (``leaves``) joins the arms' lists grouped by r_i under that bound and sorts
-the block's triples by member index; the count (``key_counts``) convolves
-the arms' tallies of (r_i, <d', dim X_i>, dim End X_i) under the same bound.
-A walk reads only the arm and the arm's path of q*h - d', which holds
-q - d'_0 and the pairings <d', e_{i,j}> as its rises; a convolution reads
-only the multiset of its tallies.  Both are kept per stream, so blocks that
-differ by a shift of d' by h, or by a permutation of equal arms, share them.
+the block's triples by member index.  A walk reads only the arm and the
+arm's path of q*h - d', which holds q - d'_0 and the pairings <d', e_{i,j}>
+as its rises; per path its list is kept per stream, its tally per count.
+
+The count (``key_counts``) reads no vector of P.  (q, d') and
+(q + c, d' + c*h) have the same arm paths, as (q + c)*h - (d' + c*h) =
+q*h - d', and the same <d', h> and <d', d'>: the latter changes by
+c*(<d', h> + <h, d'>) + c^2*<h, h> = 0.  So the blocks with d'_inf = c are
+those with d'_inf = 0 at level q - c.  For each P-block (d0, 0) and level q
+the count convolves one table per arm under R <= q - d0, keyed by (r_i,
+<d', dim X_i>, dim End X_i, arm i's term of <d', d'> in cones._arm_forms),
+and adds the result at every level q..p.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from functools import cache
-from itertools import pairwise
+from itertools import pairwise, product
 from operator import itemgetter, mul, sub
 
 from . import cones, forms, tubes
@@ -104,22 +110,25 @@ class _ArmZp:
         self.xclass = cache(lambda members: RegularModuleClass(
             tuple(self.indecs[k] for k in members)))
         self.arm_lists = {}
-        self.arm_tables = {}
-        self.block_sums = {}
 
     def triple(self, q: int, dprime: DimVector, entries: tuple, members: tuple) -> tuple:
         """One leaf of blocks as (d', d'', X, q), in zeroset.ZTriple's order."""
         return dprime, self.vector(entries), self.xclass(members), q
 
-    def heads(self):
-        """(q, d') of every block in enumerate_Zp order: each nonzero d' of
-        enumerate_P(t, q), for q <= p.  Each level reads P afresh: keeping
-        one pass's vectors for the later levels would hold all of P in
-        memory to save only their rebuilding."""
-        for q in range(1, self.p + 1):
-            for dprime in cones.enumerate_P(self.t, q):
-                if not dprime.is_zero():
-                    yield q, dprime
+    def heads(self, backward: bool = False):
+        """(q, d') of every block in enumerate_Zp order, each nonzero d' of
+        enumerate_P(t, q) for q <= p, or in reverse: q from p down, the
+        level's _P_blocks reversed, each the product of its chains reversed.
+        Each level reads P afresh: keeping one pass's vectors for the later
+        levels would hold all of P in memory to save only their rebuilding."""
+        if not backward:
+            for q in range(1, self.p + 1):
+                yield from ((q, d) for d in cones.enumerate_P(self.t, q) if not d.is_zero())
+            return
+        for q in range(self.p, 0, -1):
+            for d0, dinf, chains in reversed(list(cones._P_blocks(self.t, q))):
+                for combo in product(*(c[::-1] for c in chains)):
+                    yield q, DimVector(d0, dinf, combo)
 
     def _arm_walk(self, mi: int, path: tuple[int, ...]) -> list:
         """The multisets X_i of the candidates of an arm of length mi that fit
@@ -208,74 +217,61 @@ class _ArmZp:
         return EnumerationCapExceeded(
             f"cap {cap} exceeded enumerating Z_p for {self.t}, p={self.p}")
 
-    def _block(self, q: int, dprime: DimVector) -> tuple:
-        """The multiset of (arm length, arm path of q*h - d') of the block
-        (q, d'), sorted: all that its count reads."""
-        return tuple(sorted((mi, tuple(q - v for v in chain))
-                            for mi, chain in zip(self.t.m, dprime.chains())))
-
-    def _block_sum(self, arms: tuple) -> tuple[Counter, int]:
-        """Counter of (<d', dim X>, dim End X) over the triples of a block
-        with ``arms`` as ``_block`` gives them, and its total: the tallies of
-        its arms' walks convolved under R <= q - d'_0, the first entry of
-        every arm path.  Kept per ``arms``; a tally keeps no members."""
-        if arms in self.block_sums:
-            return self.block_sums[arms]
-        bound = arms[0][1][0]
-        acc = Counter({(0, 0, 0): 1})
-        for arm in arms:
-            if arm not in self.arm_tables:
-                self.arm_tables[arm] = Counter(
-                    (r, pair, xx) for _, r, pair, xx, _ in self._arm_walk(*arm))
-            step = Counter()
-            for (r, pair, xx), count in acc.items():
-                for (ri, pi, xi), ci in self.arm_tables[arm].items():
-                    if r + ri <= bound:
-                        step[r + ri, pair + pi, xx + xi] += count * ci
-            acc = step
-        out = Counter()
-        for (_, pair, xx), count in acc.items():
-            out[pair, xx] += count
-        self.block_sums[arms] = out, out.total()
-        return self.block_sums[arms]
+    def _arm_tally(self, mi: int, path: tuple[int, ...]) -> Counter:
+        """Counter of (r_i, <d', dim X_i>, dim End X_i) over the walk of an
+        arm of length mi on ``path``: a tally keeps no members."""
+        return Counter((r, pair, xx) for _, r, pair, xx, _ in self._arm_walk(mi, path))
 
     def key_counts(self, cap: int) -> Counter:
-        """How many triples of blocks carry each (q, th, sd, pair, xx), counted
-        by convolution without joining the arms.  The count needs no order,
-        so one pass of enumerate_P(t, p) takes each d' at every level
-        q >= d'_0, and th and sd once.  The pass counts how many (d', q)
-        share each (q, th, sd, block); each group then adds its block's
-        sum once, weighed by that number.  Raises EnumerationCapExceeded
-        once the count passes ``cap``, as blocks does."""
-        groups, total = Counter(), 0
-        for dprime in cones.enumerate_P(self.t, self.p):
-            if dprime.is_zero():
+        """How many triples of blocks carry each (q, th, sd, pair, xx): per
+        P-block (d0, 0) and level q the arms' tables convolved under
+        R <= q - d0, added at every level q..p (module docstring).  Raises
+        EnumerationCapExceeded once the count passes ``cap``, as blocks does."""
+        keys, total, arm_tally = Counter(), 0, cache(self._arm_tally)
+        for d0, dinf, chains in cones._P_blocks(self.t, self.p):
+            if dinf:
                 continue
-            th, sd = dprime.d0 - dprime.dinf, forms.euler_quadratic(self.t, dprime)
-            for q in range(dprime.d0, self.p + 1):
-                arms = self._block(q, dprime)
-                groups[q, th, sd, arms] += 1
-                total += self._block_sum(arms)[1]
-            if total > cap:
-                raise self._over(cap)
-        keys = Counter()
-        for (q, th, sd, arms), weight in groups.items():
-            for (pair, xx), count in self._block_sum(arms)[0].items():
-                keys[q, th, sd, pair, xx] += weight * count
+            arm_forms = cones._arm_forms(self.t, d0, 0, chains)
+            for q in range(d0, self.p + 1):
+                bound = q - d0
+                acc = {0: Counter({(0, 0, 0): 1})}  # R -> (pair, xx, sd)
+                for mi, arm_chains, sds in zip(self.t.m, chains, arm_forms):
+                    table = defaultdict(Counter)
+                    for chain, si in zip(arm_chains, sds):
+                        path = (bound, *(q - v for v in chain), q)
+                        for (ri, pi, xi), ci in arm_tally(mi, path).items():
+                            table[ri][pi, xi, si] += ci
+                    step = defaultdict(Counter)
+                    for r, part in acc.items():
+                        for ri, arm_part in table.items():
+                            if r + ri <= bound:
+                                out = step[r + ri]
+                                for (pair, xx, sd), count in part.items():
+                                    for (pi, xi, si), ci in arm_part.items():
+                                        out[pair + pi, xx + xi, sd + si] += count * ci
+                    acc = step
+                block = sum(acc.values(), Counter())
+                total += block.total() * (self.p + 1 - q)
+                if total > cap:
+                    raise self._over(cap)
+                for level in range(q, self.p + 1):
+                    keys.update({(level, d0, sd, pair, xx): count
+                                 for (pair, xx, sd), count in block.items()})
         return keys
 
     def edge_triples(self, k: int) -> list[tuple]:
         """The first k and then the last k triples of blocks, as ``triple``
-        gives them; the two overlap when there are fewer than 2k.  Block sizes
-        are counted, so only the blocks at either end are joined."""
-        head, tail, in_tail = [], deque(), 0
-        for q, dprime in self.heads():
-            if len(head) < k:
-                head += [(q, dprime, leaf) for leaf in self.leaves(q, dprime)[:k - len(head)]]
-            tail.append((q, dprime, self._block_sum(self._block(q, dprime))[1]))
-            in_tail += tail[-1][2]
-            while in_tail - tail[0][2] >= k:  # the fewest last blocks holding k triples
-                in_tail -= tail.popleft()[2]
-        tail = [(q, dprime, leaf) for q, dprime, _ in tail for leaf in self.leaves(q, dprime)]
+        gives them; the two overlap when there are fewer than 2k.  The heads
+        are read forward until their blocks hold k triples and backward
+        until theirs do, and only the blocks read are joined."""
+        ends = []
+        for backward in (False, True):
+            heads, read, held = self.heads(backward), [], 0
+            while held < k and (head := next(heads, None)):
+                read.append((head, self.leaves(*head)))
+                held += len(read[-1][1])
+            triples = [(*head, leaf) for head, leaves in (read[::-1] if backward else read)
+                       for leaf in leaves]
+            ends += triples[-k:] if backward else triples[:k]
         return [self.triple(q, dprime, entries, members)
-                for q, dprime, (entries, members, _, _) in head + tail[-k:]]
+                for q, dprime, (entries, members, _, _) in ends]

@@ -8,7 +8,7 @@ from math import prod
 
 import pytest
 
-from canalg import checks, geometry, zeroset, zpstream
+from canalg import checks, cones, forms, geometry, zeroset, zpstream
 from canalg.cones import EnumerationCapExceeded, decompose_slope_one, enumerate_P, in_Q
 from canalg.forms import (CanonicalType, DimVector, a_dim, basis_e, basis_e0, basis_einf,
                           basis_h, euler_form, euler_quadratic)
@@ -344,10 +344,11 @@ def test_keyed_tally_matches_per_triple_loop(arms, pmax):
 @pytest.mark.parametrize("arms, p", [
     ((2, 2, 2), 1), ((2, 2, 2), 2), ((2, 2, 2), 3), ((2, 2, 2), 4), ((2, 2, 3), 3),
     ((3, 2, 2), 3), ((2, 3, 3), 3), ((2, 2, 2, 2), 1), ((2, 2, 2, 2), 2), ((2, 2, 2, 2), 3),
-    ((2, 2, 2, 2, 2), 2)])
+    ((2, 2, 2, 2, 2), 2), ((2, 3, 4), 2), ((2, 2, 5), 2)])
 def test_arm_count_matches_search(arms, p):
     # the convolution of the arms' tallies against the join of their walks;
-    # both are checked against the definition by test_strata_matches_literal_Zp
+    # both are checked against the definition by test_strata_matches_literal_Zp.
+    # (2,3,4) and (2,2,5) have arms of different lengths, which share no table
     zp = zpstream._ArmZp(CanonicalType(arms), p)
     joined = Counter((q, th, sd, pair, xx) for q, _, th, sd, leaves in zp.blocks(10**9)
                      for *_, pair, xx in leaves)
@@ -360,6 +361,45 @@ def test_arm_count_cap_matches_search_cap():
     with pytest.raises(EnumerationCapExceeded,
                        match=r"^cap 2140 exceeded enumerating Z_p for 2,2,2, p=3$"):
         zp.key_counts(2140)
+
+
+def test_arm_count_reads_one_block_per_d0(monkeypatch):
+    # (2,2,2,2), p = 5: the count reads the P-blocks (d0, 0) and calls
+    # euler_quadratic once per base and chain, 1 + 4*(d0 + 1) for each
+    # d0 <= 5; a count per vector draws the 3,718 nonzero vectors of P and
+    # calls it for each
+    def no_vectors(*args):
+        raise AssertionError("key_counts drew a vector of P")
+
+    calls = []
+    quadratic = forms.euler_quadratic
+    monkeypatch.setattr(cones, "enumerate_P", no_vectors)
+    monkeypatch.setattr(forms, "euler_quadratic", lambda t, d: calls.append(d) or quadratic(t, d))
+    keys = zpstream._ArmZp(CanonicalType((2, 2, 2, 2)), 5).key_counts(10**9)
+    assert keys.total() == 2569458
+    assert len(calls) <= 85
+
+
+def test_edge_triples_join_only_the_heads_they_read(monkeypatch):
+    # (2,2,2,2), p = 5 has 5,757 blocks; its first and last 200 triples lie
+    # in 156 of them, and those are all that edge_triples reads
+    read, joined = [], []
+    heads, leaves = zpstream._ArmZp.heads, zpstream._ArmZp.leaves
+
+    def counted_heads(self, *args):
+        for head in heads(self, *args):
+            read.append(head)
+            yield head
+
+    def counted_leaves(self, q, dprime):
+        joined.append((q, dprime))
+        return leaves(self, q, dprime)
+
+    monkeypatch.setattr(zpstream._ArmZp, "heads", counted_heads)
+    monkeypatch.setattr(zpstream._ArmZp, "leaves", counted_leaves)
+    assert len(zpstream._ArmZp(CanonicalType((2, 2, 2, 2)), 5).edge_triples(200)) == 400
+    assert read == joined
+    assert len(read) == 156
 
 
 def test_zpstream_binds_no_public_function_of_another_module():
