@@ -2,8 +2,12 @@
 
 Each suite returns a list of CheckResult; a check aggregates many sampled or
 enumerated instances and reports the first counterexample if one exists.
-These are the batteries behind the command-line ``verify`` and ``oracle``
-subcommands, and the property-style portion of the test suite.
+These are the batteries behind the command-line ``verify`` subcommand, and
+the property-style portion of the test suite.  The oracle battery, with
+CheckResult and _first, lives in ``oracle`` beside the solver it runs, so the
+``oracle`` subcommand loads neither this module nor ``geometry``; it is
+imported here for run_all and keeps its names ``checks.oracle_suite`` and
+``checks.CheckResult``.
 
 The references only verify runs live here too, with their windows.  The
 exhaustive scan (equality_levels_naive) checks geometry's closed form against
@@ -18,36 +22,19 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import compress, product
+from itertools import compress, islice, product
 from math import prod
 from typing import Iterator
 
-from . import geometry, oracle
+from . import geometry
 from .cones import (DEFAULT_CAP, DEFAULT_ZCAP, EnumerationCapExceeded, _arm_forms, _P_blocks,
                     decompose_slope_one, in_P, in_Q)
-from .forms import (CanonicalType, DimVector, _Value, a_dim, basis_e, basis_e0, basis_h,
+from .forms import (CanonicalType, DimVector, _normalised, a_dim, basis_e, basis_h,
                     euler_form, euler_quadratic, gl_dim,
                     quadratic_lower_bound, quadratic_via_decomposition,
                     slope_one_vector, zero_vector)
+from .oracle import CheckResult, _first, oracle_suite
 from .tubes import TubeIndec, dim_vector, end_dim, hom_dim_tube, top_index
-
-
-class CheckResult(_Value):
-    """One named check: whether it passed, and its first counterexample."""
-
-    __slots__ = _fields = ("name", "ok", "details")
-    __hash__ = None
-
-    def __init__(self, name: str, ok: bool, details: str = "") -> None:
-        self._set(name, ok, details)
-
-
-def _first(name: str, failures: Iterator[str]) -> CheckResult:
-    """The check ``name``, failed with the first detail ``failures`` yields;
-    the rest of the generator is never run."""
-    detail = next(failures, "")
-    return CheckResult(name, not detail, detail)
-
 
 _RAND_ENTRY = 12  # _rand_vector's entries lie in [-_RAND_ENTRY, _RAND_ENTRY]
 _RAND_P_TOP = 9  # the largest d0 of _rand_P_vector
@@ -55,32 +42,39 @@ _RAND_P_TOP = 9  # the largest d0 of _rand_P_vector
 
 def _draw(rng: random.Random, lo: int, hi: int) -> int:
     """An int in [lo, hi], uniform up to float rounding, from one
-    ``rng.random()`` call.  Every draw of the forms and cones suites comes
-    from here: CPython keeps the stream of ``random()`` for a seed across
-    versions, which it does not promise for ``randint``, and a draw runs one
-    Python frame where ``randint`` runs three."""
+    ``rng.random()`` call.  Every draw of the forms and cones suites reads
+    ``random()`` this way (_rand_vector and _rand_P_vector inline the
+    expression, one per coordinate): CPython keeps the stream of
+    ``random()`` for a seed across versions, which it does not promise for
+    ``randint`` or ``choices``, and a draw runs one Python frame where
+    ``randint`` runs three."""
     return lo + int(rng.random() * (hi - lo + 1))
 
 
 def _rand_vector(t: CanonicalType, rng: random.Random) -> DimVector:
-    lo, hi = -_RAND_ENTRY, _RAND_ENTRY
-    return DimVector(_draw(rng, lo, hi), _draw(rng, lo, hi),
-                     tuple(tuple(_draw(rng, lo, hi) for _ in range(mi - 1))
-                           for mi in t.m))
+    """A vector with each coordinate drawn from [-_RAND_ENTRY, _RAND_ENTRY],
+    in ``entries`` order."""
+    r, lo, width = rng.random, -_RAND_ENTRY, 2 * _RAND_ENTRY + 1
+    d0, dinf, *inner = [lo + int(r() * width) for _ in range(t.vertex_count)]
+    it = iter(inner)
+    return _normalised(d0, dinf, tuple(tuple(islice(it, k)) for k in t.shape))
 
 
 def _rand_P_vector(t: CanonicalType, rng: random.Random) -> DimVector:
-    dinf = _draw(rng, 0, _RAND_P_TOP - 1)
-    d0 = _draw(rng, dinf + 1, _RAND_P_TOP)
+    """A vector of P with 0 <= dinf < d0 <= _RAND_P_TOP: each arm steps down
+    from d0 to a value drawn between dinf and the one before it."""
+    r = rng.random
+    dinf = int(r() * _RAND_P_TOP)
+    d0 = dinf + 1 + int(r() * (_RAND_P_TOP - dinf))
     arms = []
     for mi in t.m:
         chain = []
         prev = d0
         for _ in range(mi - 1):
-            prev = _draw(rng, dinf, prev)
+            prev = dinf + int(r() * (prev - dinf + 1))
             chain.append(prev)
         arms.append(tuple(chain))
-    return DimVector(d0, dinf, tuple(arms))
+    return _normalised(d0, dinf, tuple(arms))
 
 
 def forms_suite(t: CanonicalType, rng: random.Random, samples: int = 1000) -> list[CheckResult]:
@@ -373,15 +367,18 @@ def _first_split(t: CanonicalType, p: int, keys: Counter) -> str:
 
 def zeroset_suite(t: CanonicalType, pmax: int = 4,
                   cap: int = DEFAULT_ZCAP) -> list[CheckResult]:
-    from . import zeroset
+    # zeroset is imported where it is read: a type outside both the wild
+    # margin and the window compiles none of it
     out = []
     if 0 < t.delta < 1:
+        from . import zeroset
         thr = zeroset.zeroset_threshold(t)
         ok = all(zeroset.check_wild_margin(t, p) for p in range(thr, thr + 3))
         aux = 4 * t.delta + t.n + 1 < Fraction(t.n + 1) / (1 - t.delta)
         out.append(CheckResult(f"zeroset/wild-margin[{t}]", ok and aux))
     if t.product > BRUTE_PRODUCT_LIMIT or pmax > BRUTE_P_LIMIT:
         return out
+    from . import zeroset
 
     # Z_pmax is counted one P-block (d0, 0) and level at a time, not listed:
     # the tally reads how many triples carry each (q, th, sd, pair, xx).  Only
@@ -425,93 +422,6 @@ def zeroset_suite(t: CanonicalType, pmax: int = 4,
                                "" if ok else f"enumerated {tally['plus', p]}, parametrized {want}"))
         if t.delta < 1 and p >= zeroset.zeroset_threshold(t):
             out.append(CheckResult(f"zeroset/diff-nonneg[{t},p={p}]", not tally["negative", p]))
-    return out
-
-
-def oracle_suite(t: CanonicalType, lam: oracle.LambdaChoice | None = None,
-                 mu: Fraction | None = None, sizes: tuple[int, ...] = (1, 2, 3),
-                 full: bool | None = None) -> list[CheckResult]:
-    out = []
-    if lam is None:
-        lam = oracle.LambdaChoice.default_for(t)
-    if mu is None:
-        mu = max(lam.rational_tube_points()) + 1
-    if full is None:
-        full = t.total <= 9
-
-    tube_mods = [(TubeIndec(i, a, l), oracle.build_uniserial(t, lam, i, a, l))
-                 for i, mi in enumerate(t.m, start=1) for l in (1, 2) for a in range(mi)]
-    homog = [(s, oracle.build_homogeneous(t, lam, mu, s)) for s in sizes]
-
-    ok = all(oracle.check_relations(t, lam, rep) for _, rep in tube_mods) and \
-        all(oracle.check_relations(t, lam, rep) for _, rep in homog)
-    out.append(CheckResult(f"oracle/relations[{t}]", ok))
-
-    dims = (f"dim mismatch for {x}" for x, rep in tube_mods if dim_vector(t, x) != rep.dim)
-    out.append(_first(f"oracle/dims[{t}]", dims))
-
-    if full:
-        def hom_vs_tubes():
-            for x, mrep in tube_mods:
-                for y, nrep in tube_mods:
-                    want = hom_dim_tube(t, x, y)
-                    got = oracle.hom_dim_linear(t, lam, mrep, nrep)
-                    if got != want:
-                        yield f"hom({x},{y}) = {got}, tube model {want}"
-
-        out.append(_first(f"oracle/hom-vs-tubes[{t}]", hom_vs_tubes()))
-
-        # A generic point P of the cone-P vector h + e_0 lies in the class P
-        # of the module category, and every tube module X is regular.  Modules
-        # in P have projective dimension <= 1 and Hom(X, tau P) = 0, so
-        # Ext^2(P, X) = 0 and, by the Auslander-Reiten formula,
-        # Ext^1(P, X) = D Hom(X, tau P) = 0 (Ringel, Tame algebras and
-        # integral quadratic forms, LNM 1099, 1984, Sect. 3.7); hence
-        # dim Hom(P, X) = <dim P, dim X>.  Under rational lambdas P's arrows mix
-        # integers with fractions, so a Hom that drops row denominators fails.
-        d = basis_h(t) + basis_e0(t)
-        prep = oracle.random_cone_point(t, lam, d, random.Random(0))
-
-        def hom_cone_pairing():
-            for x, xrep in tube_mods:
-                got = oracle.hom_dim_linear(t, lam, prep, xrep)
-                want = euler_form(t, d, dim_vector(t, x))
-                if got != want:
-                    yield f"hom(P, {x}) = {got}, <d, dim X> = {want}"
-
-        out.append(_first(f"oracle/hom-cone-pairing[{t}]", hom_cone_pairing()))
-
-        def homogeneous():
-            for s, hrep in homog:
-                for x, xrep in tube_mods:
-                    if oracle.hom_dim_linear(t, lam, hrep, xrep) != 0 or \
-                            oracle.hom_dim_linear(t, lam, xrep, hrep) != 0:
-                        yield f"homogeneous size {s} not orthogonal to {x}"
-                for s2, hrep2 in homog:
-                    if oracle.hom_dim_linear(t, lam, hrep, hrep2) != min(s, s2):
-                        yield f"hom(J{s}, J{s2}) != min"
-
-        out.append(_first(f"oracle/homogeneous[{t}]", homogeneous()))
-
-        if len(tube_mods) >= 3:
-            a, b, c = tube_mods[0][1], tube_mods[1][1], tube_mods[2][1]
-            ds = oracle.direct_sum(a, b)
-            ok = (ds.dim == a.dim + b.dim
-                  and oracle.check_relations(t, lam, ds)
-                  and oracle.hom_dim_linear(t, lam, ds, c)
-                  == oracle.hom_dim_linear(t, lam, a, c) + oracle.hom_dim_linear(t, lam, b, c))
-            out.append(CheckResult(f"oracle/direct-sum[{t}]", ok))
-    else:
-        ok = oracle.hom_dim_linear(t, lam, homog[0][1], homog[0][1]) == sizes[0]
-        out.append(CheckResult(f"oracle/homogeneous-end[{t}]", ok))
-
-    # exactness: a single perturbed entry must break the relations
-    s, hrep = homog[0]
-    m11 = [list(r) for r in hrep.mat(1, 1)]
-    m11[0][0] += 1
-    bad = oracle.MatrixRep(t, hrep.dim, {**hrep.mats, (1, 1): tuple(map(tuple, m11))})
-    out.append(CheckResult(f"oracle/perturbation[{t}]",
-                           not oracle.check_relations(t, lam, bad)))
     return out
 
 

@@ -16,7 +16,6 @@ import sys
 from typing import TYPE_CHECKING
 
 # Each handler imports the modules only it runs, so a short query skips the rest.
-from . import geometry
 from .cones import DEFAULT_CAP, DEFAULT_ZCAP, EnumerationCapExceeded
 from .forms import CanonicalType, format_dim_vector
 
@@ -52,7 +51,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def cmd_classify(args) -> int:
-    from . import zeroset
+    from . import geometry, zeroset
     t = CanonicalType.parse(args.type)
     boundary, repr_type = geometry.classify_type(t)
     try:
@@ -75,12 +74,14 @@ def cmd_classify(args) -> int:
 
 
 def cmd_ci(args) -> int:
+    from . import geometry
     t = CanonicalType.parse(args.type)
     _emit(geometry.ci_summary(t, args.p), args.format)
     return 0
 
 
 def cmd_components(args) -> int:
+    from . import geometry
     t = CanonicalType.parse(args.type)
     _at_least_one(("--cap", args.cap))
     comps = geometry.irreducible_components(t, args.p, cap=args.cap)
@@ -102,13 +103,14 @@ def cmd_zeroset(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from . import geometry
     summary = geometry.witness_summary(CanonicalType.parse(args.type))
     _emit({**summary, "d": format_dim_vector(summary["d"])}, args.format)
     return 0
 
 
 def _emit_results(payload: dict, results: list, fmt: str) -> None:
-    """The ``checks.CheckResult`` list as JSON (after ``payload``) or one line per result."""
+    """The ``oracle.CheckResult`` list as JSON (after ``payload``) or one line per result."""
     if fmt == "json":
         rows = [{"name": r.name, "ok": r.ok, "details": r.details} for r in results]
         print(json.dumps({**payload, "results": rows}, indent=2))
@@ -164,7 +166,7 @@ MAX_ORACLE_UNKNOWNS = 8 * (45 * 46 // 2) ** 2
 
 
 def cmd_oracle(args) -> int:
-    from . import checks, oracle
+    from . import oracle
     t = CanonicalType.parse(args.type)
     _at_least_one(("--sizes", args.sizes))
     if args.sizes > MAX_ORACLE_SIZES:
@@ -185,7 +187,7 @@ def cmd_oracle(args) -> int:
         lam = oracle.LambdaChoice.default_for(t)
     mu = _rational("--mu", args.mu) if args.mu is not None else None
     sizes = tuple(range(1, args.sizes + 1))
-    results = checks.oracle_suite(t, lam, mu, sizes=sizes, full=args.full or None)
+    results = oracle.oracle_suite(t, lam, mu, sizes=sizes, full=args.full or None)
     all_ok = all(r.ok for r in results)
     _emit_results({"type": str(t), "lambdas": [str(x) for x in lam.lambdas],
                    "all_ok": all_ok}, results, args.format)

@@ -5,7 +5,10 @@ n - 2 arm relations.  This module builds concrete points for every module of
 the exceptional tubes (build_uniserial) and for the homogeneous (Jordan)
 modules, both through one writer of the arms off the tube, and computes Hom
 dimensions as exact nullities of the intertwining system.  These values
-validate the combinatorial tube model against actual linear algebra.
+validate the combinatorial tube model against actual linear algebra: the
+battery that does so (oracle_suite, behind the command-line ``oracle``
+subcommand and part of ``verify``) lives here too, with the CheckResult it
+returns, so an oracle query loads neither ``checks`` nor ``geometry``.
 
 Convention: a module lies in the tube at a point (c1 : c2) of the projective
 line when its arm compositions make c2*C1 - c1*C2 nilpotent; the tube
@@ -25,8 +28,10 @@ from typing import Iterator, Mapping
 
 from . import linalg
 from .cones import in_P, in_Q
-from .forms import CanonicalType, DimVector, _Value, basis_h, format_dim_vector
+from .forms import (CanonicalType, DimVector, _Value, basis_e0, basis_h, euler_form,
+                    format_dim_vector)
 from .linalg import Matrix
+from .tubes import TubeIndec, dim_vector, hom_dim_tube
 
 
 class LambdaChoice(_Value):
@@ -384,3 +389,107 @@ def hom_dim_linear(t: CanonicalType, lam: LambdaChoice,
                 if row:
                     rows.append(row)
     return ncols - linalg.rank(rows)
+
+
+class CheckResult(_Value):
+    """One named check: whether it passed, and its first counterexample."""
+
+    __slots__ = _fields = ("name", "ok", "details")
+    __hash__ = None
+
+    def __init__(self, name: str, ok: bool, details: str = "") -> None:
+        self._set(name, ok, details)
+
+
+def _first(name: str, failures: Iterator[str]) -> CheckResult:
+    """The check ``name``, failed with the first detail ``failures`` yields;
+    the rest of the generator is never run."""
+    detail = next(failures, "")
+    return CheckResult(name, not detail, detail)
+
+
+def oracle_suite(t: CanonicalType, lam: LambdaChoice | None = None,
+                 mu: Fraction | None = None, sizes: tuple[int, ...] = (1, 2, 3),
+                 full: bool | None = None) -> list[CheckResult]:
+    out = []
+    if lam is None:
+        lam = LambdaChoice.default_for(t)
+    if mu is None:
+        mu = max(lam.rational_tube_points()) + 1
+    if full is None:
+        full = t.total <= 9
+
+    tube_mods = [(TubeIndec(i, a, l), build_uniserial(t, lam, i, a, l))
+                 for i, mi in enumerate(t.m, start=1) for l in (1, 2) for a in range(mi)]
+    homog = [(s, build_homogeneous(t, lam, mu, s)) for s in sizes]
+
+    ok = all(check_relations(t, lam, rep) for _, rep in tube_mods) and \
+        all(check_relations(t, lam, rep) for _, rep in homog)
+    out.append(CheckResult(f"oracle/relations[{t}]", ok))
+
+    dims = (f"dim mismatch for {x}" for x, rep in tube_mods if dim_vector(t, x) != rep.dim)
+    out.append(_first(f"oracle/dims[{t}]", dims))
+
+    if full:
+        def hom_vs_tubes():
+            for x, mrep in tube_mods:
+                for y, nrep in tube_mods:
+                    want = hom_dim_tube(t, x, y)
+                    got = hom_dim_linear(t, lam, mrep, nrep)
+                    if got != want:
+                        yield f"hom({x},{y}) = {got}, tube model {want}"
+
+        out.append(_first(f"oracle/hom-vs-tubes[{t}]", hom_vs_tubes()))
+
+        # A generic point P of the cone-P vector h + e_0 lies in the class P
+        # of the module category, and every tube module X is regular.  Modules
+        # in P have projective dimension <= 1 and Hom(X, tau P) = 0, so
+        # Ext^2(P, X) = 0 and, by the Auslander-Reiten formula,
+        # Ext^1(P, X) = D Hom(X, tau P) = 0 (Ringel, Tame algebras and
+        # integral quadratic forms, LNM 1099, 1984, Sect. 3.7); hence
+        # dim Hom(P, X) = <dim P, dim X>.  Under rational lambdas P's arrows mix
+        # integers with fractions, so a Hom that drops row denominators fails.
+        d = basis_h(t) + basis_e0(t)
+        prep = random_cone_point(t, lam, d, random.Random(0))
+
+        def hom_cone_pairing():
+            for x, xrep in tube_mods:
+                got = hom_dim_linear(t, lam, prep, xrep)
+                want = euler_form(t, d, dim_vector(t, x))
+                if got != want:
+                    yield f"hom(P, {x}) = {got}, <d, dim X> = {want}"
+
+        out.append(_first(f"oracle/hom-cone-pairing[{t}]", hom_cone_pairing()))
+
+        def homogeneous():
+            for s, hrep in homog:
+                for x, xrep in tube_mods:
+                    if hom_dim_linear(t, lam, hrep, xrep) != 0 or \
+                            hom_dim_linear(t, lam, xrep, hrep) != 0:
+                        yield f"homogeneous size {s} not orthogonal to {x}"
+                for s2, hrep2 in homog:
+                    if hom_dim_linear(t, lam, hrep, hrep2) != min(s, s2):
+                        yield f"hom(J{s}, J{s2}) != min"
+
+        out.append(_first(f"oracle/homogeneous[{t}]", homogeneous()))
+
+        if len(tube_mods) >= 3:
+            a, b, c = tube_mods[0][1], tube_mods[1][1], tube_mods[2][1]
+            ds = direct_sum(a, b)
+            ok = (ds.dim == a.dim + b.dim
+                  and check_relations(t, lam, ds)
+                  and hom_dim_linear(t, lam, ds, c)
+                  == hom_dim_linear(t, lam, a, c) + hom_dim_linear(t, lam, b, c))
+            out.append(CheckResult(f"oracle/direct-sum[{t}]", ok))
+    else:
+        ok = hom_dim_linear(t, lam, homog[0][1], homog[0][1]) == sizes[0]
+        out.append(CheckResult(f"oracle/homogeneous-end[{t}]", ok))
+
+    # exactness: a single perturbed entry must break the relations
+    s, hrep = homog[0]
+    m11 = [list(r) for r in hrep.mat(1, 1)]
+    m11[0][0] += 1
+    bad = MatrixRep(t, hrep.dim, {**hrep.mats, (1, 1): tuple(map(tuple, m11))})
+    out.append(CheckResult(f"oracle/perturbation[{t}]",
+                           not check_relations(t, lam, bad)))
+    return out

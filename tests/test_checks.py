@@ -8,7 +8,8 @@ import pytest
 
 from canalg import checks, oracle, tubes, zeroset, zpstream
 from canalg.cones import EnumerationCapExceeded, in_P
-from canalg.forms import CanonicalType, basis_e
+from canalg.forms import CanonicalType, DimVector, basis_e
+from test_acceptance import PROPERTY_TYPES
 
 
 def _assert_all_ok(results):
@@ -71,6 +72,40 @@ def test_same_seed_draws_the_same_vectors():
         return [f(t, rng) for _ in range(50) for f in (checks._rand_vector, checks._rand_P_vector)]
 
     assert draws(17) == draws(17) != draws(18)
+
+
+# The types of the benchmark's verify-suites workload.
+BENCH_VERIFY_TYPES = [(2, 3, 7), (5, 5, 5, 5, 5), (2, 2, 2), (2, 2, 2, 2)]
+
+
+def _draw_reference(t, rng):
+    """_rand_vector then _rand_P_vector as one _draw call per coordinate."""
+    draw = checks._draw
+    lo, hi = -checks._RAND_ENTRY, checks._RAND_ENTRY
+    wide = DimVector(draw(rng, lo, hi), draw(rng, lo, hi),
+                     tuple(tuple(draw(rng, lo, hi) for _ in range(mi - 1)) for mi in t.m))
+    dinf = draw(rng, 0, checks._RAND_P_TOP - 1)
+    d0 = draw(rng, dinf + 1, checks._RAND_P_TOP)
+    arms = []
+    for mi in t.m:
+        chain = [d0]
+        for _ in range(mi - 1):
+            chain.append(draw(rng, dinf, chain[-1]))
+        arms.append(tuple(chain[1:]))
+    return wide, DimVector(d0, dinf, tuple(arms))
+
+
+@pytest.mark.parametrize("arms", sorted({*BENCH_VERIFY_TYPES, *PROPERTY_TYPES}))
+def test_draws_match_a_draw_per_coordinate(arms):
+    # the inlined draws read random() as _draw does: same vectors, same state
+    t = CanonicalType(arms)
+    for seed in range(10):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            got = checks._rand_vector(t, rng), checks._rand_P_vector(t, rng)
+            want = _draw_reference(t, ref)
+            assert got == want and all(type(x) is int for d in got for x in d.entries())
+            assert rng.getstate() == ref.getstate()
 
 
 def test_rand_vector_covers_its_range():
@@ -243,6 +278,11 @@ def test_top_check_catches_an_off_by_one_top(monkeypatch):
     monkeypatch.setattr(checks, "top_index", shifted)
     got = {r.name: r for r in checks.tubes_suite(t)}[name]
     assert (got.ok, got.details) == (False, "top test fails at 1:0:1, j=0")
+
+
+def test_oracle_battery_keeps_its_checks_names():
+    assert checks.oracle_suite is oracle.oracle_suite
+    assert checks.CheckResult is oracle.CheckResult
 
 
 def test_oracle_hom_cone_pairing_present_and_passing():

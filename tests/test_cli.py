@@ -433,8 +433,10 @@ LOADED_BY_QUERY = ("import contextlib, io, sys\n"
                    "with contextlib.redirect_stdout(io.StringIO()):\n"
                    "    code = canalg.cli.main(sys.argv[1:])\n"
                    "print(code, *sorted(set(sys.modules) - before))\n")
-LEVEL_MODULES = {"canalg.cli", "canalg.cones", "canalg.forms", "canalg.geometry"}
-SUITE_MODULES = LEVEL_MODULES | {"canalg.checks", "canalg.linalg", "canalg.oracle", "canalg.tubes"}
+CLI_MODULES = {"canalg.cli", "canalg.cones", "canalg.forms"}
+LEVEL_MODULES = CLI_MODULES | {"canalg.geometry"}
+ORACLE_MODULES = CLI_MODULES | {"canalg.linalg", "canalg.oracle", "canalg.tubes"}
+SUITE_MODULES = LEVEL_MODULES | ORACLE_MODULES | {"canalg.checks"}
 # dataclasses brings inspect, ast, dis and tokenize; fractions brings decimal
 NEVER_LOADED = {"dataclasses", "inspect"}
 LEVEL_NEVER_LOADED = NEVER_LOADED | {"fractions", "decimal"}
@@ -449,11 +451,16 @@ LEVEL_NEVER_LOADED = NEVER_LOADED | {"fractions", "decimal"}
      LEVEL_MODULES | {"canalg.tubes", "canalg.zeroset"}),
     (("verify", "--type", "2,2,2", "--pmax", "2", "--samples", "10"),
      SUITE_MODULES | {"canalg.zeroset", "canalg.zpstream"}),
-    (("oracle", "--type", "2,2,2"), SUITE_MODULES),
-], ids=["ci", "components", "witness", "classify", "zeroset", "verify", "oracle"])
+    # on the boundary (delta = 1) and outside the zero-set window: the
+    # zero-set suite reads nothing from zeroset
+    (("verify", "--type", "5,5,5,5,5", "--pmax", "1", "--samples", "10"), SUITE_MODULES),
+    (("oracle", "--type", "2,2,2"), ORACLE_MODULES),
+], ids=["ci", "components", "witness", "classify", "zeroset", "verify", "verify-boundary",
+        "oracle"])
 def test_subcommand_loads_only_its_modules(argv, loaded):
-    # checks, oracle, linalg and zpstream belong to verify and oracle alone,
-    # and oracle never reaches zeroset or zpstream
+    # linalg and oracle belong to verify and oracle alone, checks and
+    # zpstream to verify; oracle loads none of checks, geometry, zeroset
+    # and zpstream
     code, *added = fresh_python(LOADED_BY_QUERY, *argv).split()
     assert code == "0"
     assert {m for m in added if m.startswith("canalg.")} == loaded
@@ -465,6 +472,13 @@ def test_bare_import_loads_no_submodule():
     out = fresh_python("import sys, canalg\n"
                        "print(*sorted(m for m in sys.modules if m.startswith('canalg.')))")
     assert out.split() == []
+
+
+def test_cli_import_loads_only_what_every_handler_reads():
+    # geometry is imported by the handlers that run it, not by cli itself
+    out = fresh_python("import sys, canalg.cli\n"
+                       "print(*sorted(m for m in sys.modules if m.startswith('canalg.')))")
+    assert set(out.split()) == CLI_MODULES
 
 
 def _package_imports() -> dict[str, set[str]]:
