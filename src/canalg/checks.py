@@ -23,12 +23,11 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import compress, islice, product
-from math import prod
 from typing import Iterator
 
 from . import geometry
-from .cones import (DEFAULT_CAP, DEFAULT_ZCAP, EnumerationCapExceeded, _arm_forms, _P_blocks,
-                    decompose_slope_one, in_P, in_Q)
+from .cones import (DEFAULT_CAP, DEFAULT_ZCAP, _arm_forms, _P_blocks, decompose_slope_one, in_P,
+                    in_Q)
 from .forms import (CanonicalType, DimVector, _normalised, a_dim, basis_e, basis_h,
                     euler_form, euler_quadratic, gl_dim,
                     quadratic_lower_bound, quadratic_via_decomposition,
@@ -212,19 +211,15 @@ def equality_levels_naive(t: CanonicalType, pmax: int) -> list[tuple[int, list[D
     <d, d> + p*(d0 - dinf) over d in P with d0 <= p, and the d attaining 0,
     zero first and then in enumerate_P order.  Level p reads the blocks with
     d0 <= p: enumerate_P(t, p) is that prefix of enumerate_P(t, pmax).
-    Raises EnumerationCapExceeded past DEFAULT_CAP vectors, as enumerate_P does.
+    _P_blocks raises EnumerationCapExceeded past DEFAULT_CAP vectors, as in
+    enumerate_P.
     """
     if pmax < 0:
         raise ValueError(f"p must be >= 0, got {pmax}")
     zero = zero_vector(t)
     least = [0] * (pmax + 1)
     eq = [[zero] for _ in range(pmax + 1)]
-    seen = 1
-    for d0, dinf, chains in _P_blocks(t, pmax):
-        seen += prod(map(len, chains))
-        if seen > DEFAULT_CAP:
-            raise EnumerationCapExceeded(
-                f"cap {DEFAULT_CAP} exceeded while enumerating P for {t}, p={pmax}")
+    for d0, dinf, chains in _P_blocks(t, pmax, DEFAULT_CAP):
         values = _block_forms(t, d0, dinf, chains)
         lo, slope = min(values), d0 - dinf
         for p in range(d0, pmax + 1):

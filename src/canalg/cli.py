@@ -157,11 +157,11 @@ MAX_ORACLE_PAIRS = 810_000
 # Most unknowns `oracle --full` takes in the Hom systems between its
 # homogeneous modules, counted on the whole quiver: Hom(J_s, J_s') has s*s'
 # unknowns at each of the V vertices, V*(S(S+1)/2)^2 over all s, s' <= S =
-# --sizes.  The bound is its value at 2,3,4 --sizes 45 (V = 8), so long arms
-# get fewer sizes: 40,40,40 (V = 119) stops at --sizes 22, which takes about
-# 2 s on the host above.  hom_dim_linear solves each of these systems as one
-# block of s*s' unknowns on the contracted quiver, so the count overstates
-# the work by the factor V.
+# --sizes.  The bound is its value at 2,3,4 --sizes 45 (V = 8), so 40,40,40
+# (V = 119) stops at --sizes 22, which takes about 1 s on the host above.
+# hom_dim_linear solves these systems on the contracted quiver, so the count
+# misstates the work both ways: it allows 2,2,2,2,2,2 --sizes 45 (10 s) and
+# refuses 2,3,7 --sizes 45 (4 s); README has the measurements.
 MAX_ORACLE_UNKNOWNS = 8 * (45 * 46 // 2) ** 2
 
 
@@ -228,9 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pmax", type=int, default=4,
                     help="highest level checked; for arm products up to 20 the zero-set "
                          "suite counts Z_p at p = min(pmax, 6) by key, without listing "
-                         "its triples: the whole verify run takes about 0.3 s for 2,2,2 "
-                         "at 4 and 0.6 s at 6, 0.3 s for 2,2,2,2 at 4, and 1.4 s for "
-                         "2,2,4 at 4, which passes --cap after 9 s at 5")
+                         "its triples: the whole verify run takes about 0.12 s for 2,2,2 "
+                         "at 4 and 0.21 s at 6, 0.14 s for 2,2,2,2 at 4, and 0.6 s for "
+                         "2,2,4 at 4, which passes --cap after 4 s at 5")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--samples", type=int, default=300,
                     help=f"vectors drawn per forms and cones check, at most {MAX_SAMPLES:,}; "

@@ -40,19 +40,29 @@ def in_Q(t: CanonicalType, d: DimVector) -> bool:
                for a in d.arms)
 
 
-def _P_blocks(t: CanonicalType, p: int) -> Iterator[tuple[int, int, list[list[tuple[int, ...]]]]]:
-    """The nonzero part of P with d0 <= p, one block per (d0, dinf).
+def _P_blocks(t: CanonicalType, p: int,
+              cap: int | None = None) -> Iterator[tuple[int, int, list[list[tuple[int, ...]]]]]:
+    """The nonzero part of P with d0 <= p, one block per (d0, dinf): the
+    owner of P's order and of its cap.
 
     Yields (d0, dinf, chains) for 0 <= dinf < d0 <= p in lexicographic order,
     where chains[i-1] lists arm i's nonincreasing interior chains with values
     in [dinf, d0], in ascending lexicographic order; the block's vectors are
-    DimVector(d0, dinf, combo) for combo in product(*chains).
+    DimVector(d0, dinf, combo) for combo in product(*chains).  With a cap it
+    counts P from the zero vector, the block (0, 0) it does not yield, and
+    raises EnumerationCapExceeded before a block that takes it past ``cap``.
     """
-    for d0 in range(1, p + 1):
-        for dinf in range(d0):
+    seen = 0
+    for d0 in range(p + 1):
+        for dinf in range(max(d0, 1)):
             values = range(d0, dinf - 1, -1)
-            yield d0, dinf, [list(combinations_with_replacement(values, mi - 1))[::-1]
-                             for mi in t.m]
+            chains = [list(combinations_with_replacement(values, mi - 1))[::-1] for mi in t.m]
+            seen += prod(map(len, chains))
+            if cap is not None and seen > cap:
+                raise EnumerationCapExceeded(
+                    f"cap {cap} exceeded while enumerating P for {t}, p={p}")
+            if d0:
+                yield d0, dinf, chains
 
 
 def _arm_forms(t: CanonicalType, d0: int, dinf: int,
@@ -69,26 +79,20 @@ def _arm_forms(t: CanonicalType, d0: int, dinf: int,
 
 
 def enumerate_P(t: CanonicalType, p: int, cap: int = DEFAULT_CAP) -> Iterator[DimVector]:
-    """All d in P with d0 <= p, each exactly once.
+    """All d in P with d0 <= p, each exactly once: the zero vector, then the
+    vectors of each _P_blocks block.
 
     Every coordinate of such a vector lies in [0, p], so the stream is finite.
     Order is lexicographic in (d0, dinf, arm entries), which keeps golden tests
     stable; so the stream at p is the prefix with d0 <= p of the stream at any
-    larger level.  Raises EnumerationCapExceeded beyond ``cap`` elements.
+    larger level.  _P_blocks holds the cap: past ``cap`` elements it raises
+    EnumerationCapExceeded at the boundary of the block that passes it.
     """
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p}")
-    emitted = 1
-    if emitted > cap:
-        raise EnumerationCapExceeded(f"cap {cap} exceeded while enumerating P for {t}, p={p}")
     yield zero_vector(t)
-    for d0, dinf, chains in _P_blocks(t, p):
-        for combo in product(*chains):
-            emitted += 1
-            if emitted > cap:
-                raise EnumerationCapExceeded(
-                    f"cap {cap} exceeded while enumerating P for {t}, p={p}")
-            yield DimVector(d0, dinf, combo)
+    for d0, dinf, chains in _P_blocks(t, p, cap):
+        yield from (DimVector(d0, dinf, combo) for combo in product(*chains))
 
 
 def count_P(t: CanonicalType, p: int) -> int:

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import cache
-from itertools import pairwise, product
+from itertools import islice, pairwise, product
 from operator import itemgetter, mul, sub
 
 from . import cones, forms, tubes
@@ -116,18 +116,16 @@ class _ArmZp:
         return dprime, self.vector(entries), self.xclass(members), q
 
     def heads(self, backward: bool = False):
-        """(q, d') of every block in enumerate_Zp order, each nonzero d' of
-        enumerate_P(t, q) for q <= p, or in reverse: q from p down, the
-        level's _P_blocks reversed, each the product of its chains reversed.
+        """(q, d') of every block in enumerate_Zp order, or reversed when
+        ``backward``: d' over the cones._P_blocks of level q for q <= p, under
+        cones.DEFAULT_CAP both ways; one step flips levels, blocks and chains.
         Each level reads P afresh: keeping one pass's vectors for the later
         levels would hold all of P in memory to save only their rebuilding."""
-        if not backward:
-            for q in range(1, self.p + 1):
-                yield from ((q, d) for d in cones.enumerate_P(self.t, q) if not d.is_zero())
-            return
-        for q in range(self.p, 0, -1):
-            for d0, dinf, chains in reversed(list(cones._P_blocks(self.t, q))):
-                for combo in product(*(c[::-1] for c in chains)):
+        step = -1 if backward else 1
+        for q in range(1, self.p + 1)[::step]:
+            blocks = cones._P_blocks(self.t, q, cones.DEFAULT_CAP)
+            for d0, dinf, chains in list(blocks)[::-1] if backward else blocks:
+                for combo in product(*(c[::step] for c in chains)):
                     yield q, DimVector(d0, dinf, combo)
 
     def _arm_walk(self, mi: int, path: tuple[int, ...]) -> list:
@@ -261,17 +259,13 @@ class _ArmZp:
 
     def edge_triples(self, k: int) -> list[tuple]:
         """The first k and then the last k triples of blocks, as ``triple``
-        gives them; the two overlap when there are fewer than 2k.  The heads
-        are read forward until their blocks hold k triples and backward
-        until theirs do, and only the blocks read are joined."""
-        ends = []
-        for backward in (False, True):
-            heads, read, held = self.heads(backward), [], 0
-            while held < k and (head := next(heads, None)):
-                read.append((head, self.leaves(*head)))
-                held += len(read[-1][1])
-            triples = [(*head, leaf) for head, leaves in (read[::-1] if backward else read)
-                       for leaf in leaves]
-            ends += triples[-k:] if backward else triples[:k]
+        gives them; the two overlap when there are fewer than 2k.  Each end
+        is the first k of a stream of leaves over ``heads`` (backward, each
+        block's leaves reversed too), so only the blocks read are joined."""
+        def stream(step):
+            for head in self.heads(step < 0):
+                yield from ((*head, leaf) for leaf in self.leaves(*head)[::step])
+
+        ends = [*islice(stream(1), k), *reversed(list(islice(stream(-1), k)))]
         return [self.triple(q, dprime, entries, members)
                 for q, dprime, (entries, members, _, _) in ends]

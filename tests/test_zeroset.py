@@ -402,6 +402,32 @@ def test_edge_triples_join_only_the_heads_they_read(monkeypatch):
     assert len(read) == 156
 
 
+def test_backward_heads_keep_the_P_cap():
+    # the first block of P for thirty arms of length 2 holds 2^30 vectors
+    heads = zpstream._ArmZp(CanonicalType((2,) * 30), 1).heads(True)
+    with pytest.raises(EnumerationCapExceeded, match="while enumerating P"):
+        next(heads)
+
+
+EDGE_CASES = [((2, 2, 2), 3), ((2, 2, 2), 4), ((2, 2, 2, 2), 2), ((2, 2, 2, 2), 3),
+              ((2, 3, 3), 2)]
+
+
+@pytest.mark.parametrize("arms, p", EDGE_CASES)
+def test_backward_heads_reverse_the_forward_heads(arms, p):
+    zp = zpstream._ArmZp(CanonicalType(arms), p)
+    assert list(zp.heads(True)) == list(reversed(list(zp.heads())))
+
+
+@pytest.mark.parametrize("arms, p", EDGE_CASES)
+def test_edge_triples_are_the_ends_of_strata(arms, p):
+    t = CanonicalType(arms)
+    stream = [(z.dprime, z.ddouble, z.xclass, z.q) for z, *_ in strata(t, p)]
+    zp = zpstream._ArmZp(t, p)
+    for k in (1, 7, 200, len(stream) + 1):
+        assert zp.edge_triples(k) == stream[:k] + stream[-k:], k
+
+
 def test_zpstream_binds_no_public_function_of_another_module():
     # a function bound by name would keep a wrapper rebound in its module
     foreign = [name for name, obj in vars(zpstream).items()
