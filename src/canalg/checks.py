@@ -327,7 +327,7 @@ def _key_levels(t: CanonicalType, pmax: int, keys: Counter) -> Iterator[tuple]:
     """Per key (q, th, sd, pair, xx) of ``keys`` and level p in [q, pmax]:
     the key, its count, p, the deficiency and whether the key is plus and flat.
     The conditions read only the key, so each is taken once per key and level."""
-    from . import zeroset  # here and in the zero-set suite only: oracle never loads it
+    from . import zeroset  # where it is read, as in zeroset_suite
     for key, count in keys.items():
         q, th, sd, pair, xx = key
         for p in range(q, pmax + 1):
@@ -371,9 +371,11 @@ def zeroset_suite(t: CanonicalType, pmax: int = 4,
         ok = all(zeroset.check_wild_margin(t, p) for p in range(thr, thr + 3))
         aux = 4 * t.delta + t.n + 1 < Fraction(t.n + 1) / (1 - t.delta)
         out.append(CheckResult(f"zeroset/wild-margin[{t}]", ok and aux))
-    if t.product > BRUTE_PRODUCT_LIMIT or pmax > BRUTE_P_LIMIT:
+    if t.product > BRUTE_PRODUCT_LIMIT:
         return out
     from . import zeroset
+
+    pmax = min(pmax, BRUTE_P_LIMIT)  # the window's top level, as verify --help states
 
     # Z_pmax is counted one P-block (d0, 0) and level at a time, not listed:
     # the tally reads how many triples carry each (q, th, sd, pair, xx).  Only
@@ -430,6 +432,6 @@ def run_all(t: CanonicalType, pmax: int = 4, seed: int = 0, samples: int = 1000,
     results += cones_suite(t, rng, samples)
     results += geometry_suite(t, pmax)
     results += tubes_suite(t)
-    results += zeroset_suite(t, min(pmax, BRUTE_P_LIMIT), cap=cap)
+    results += zeroset_suite(t, pmax, cap=cap)
     results += oracle_suite(t)
     return results

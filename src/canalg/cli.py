@@ -4,7 +4,9 @@ One process, one query.  Results go to stdout (text or JSON), diagnostics to
 stderr.  Exit codes: 0 success, 1 a checked property failed, 2 invalid input
 or a request outside the proved range, 3 an internal error (a bug; the
 message names the exception), 141 (128 + SIGPIPE) the reader of stdout
-closed it before the answer was written, as ``| head -1`` does.
+closed it before the answer was written, as ``| head -1`` does.  main parses
+the type and makes every refusal the arguments alone decide before a handler
+runs, so a refused query loads none of the handlers' modules.
 """
 
 from __future__ import annotations
@@ -31,12 +33,6 @@ def _rational(option: str, text: str) -> Fraction:
         raise ValueError(f"{option} takes rationals such as 2 or -3/4, got {text!r}") from None
 
 
-def _at_least_one(*options: tuple[str, int]) -> None:
-    for option, value in options:
-        if value < 1:
-            raise ValueError(f"{option} must be >= 1, got {value}")
-
-
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -52,7 +48,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def cmd_classify(args) -> int:
     from . import geometry, zeroset
-    t = CanonicalType.parse(args.type)
+    t = args.type
     boundary, repr_type = geometry.classify_type(t)
     try:
         threshold = zeroset.zeroset_threshold(t)
@@ -75,16 +71,13 @@ def cmd_classify(args) -> int:
 
 def cmd_ci(args) -> int:
     from . import geometry
-    t = CanonicalType.parse(args.type)
-    _emit(geometry.ci_summary(t, args.p), args.format)
+    _emit(geometry.ci_summary(args.type, args.p), args.format)
     return 0
 
 
 def cmd_components(args) -> int:
     from . import geometry
-    t = CanonicalType.parse(args.type)
-    _at_least_one(("--cap", args.cap))
-    comps = geometry.irreducible_components(t, args.p, cap=args.cap)
+    comps = geometry.irreducible_components(args.type, args.p, cap=args.cap)
     payload = {
         "p": args.p,
         "count": len(comps),
@@ -96,15 +89,14 @@ def cmd_components(args) -> int:
 
 def cmd_zeroset(args) -> int:
     from . import zeroset
-    t = CanonicalType.parse(args.type)
-    report = zeroset.ZeroSetReport.compute(t, args.p)
+    report = zeroset.ZeroSetReport.compute(args.type, args.p)
     _emit(report.to_dict(), args.format)
     return 0
 
 
 def cmd_witness(args) -> int:
     from . import geometry
-    summary = geometry.witness_summary(CanonicalType.parse(args.type))
+    summary = geometry.witness_summary(args.type)
     _emit({**summary, "d": format_dim_vector(summary["d"])}, args.format)
     return 0
 
@@ -122,18 +114,9 @@ def _emit_results(payload: dict, results: list, fmt: str) -> None:
         print(line)
 
 
-# Largest --samples verify takes: on a shared 2-core x86-64 host each sample
-# of the forms and cones suites costs about 0.6 ms at 5,5,5,5,5, and
-# `verify --type 5,5,5,5,5 --samples 100000` took 61 s.
-MAX_SAMPLES = 100_000
-
-
 def cmd_verify(args) -> int:
     from . import checks
-    t = CanonicalType.parse(args.type)
-    _at_least_one(("--pmax", args.pmax), ("--samples", args.samples), ("--cap", args.cap))
-    if args.samples > MAX_SAMPLES:
-        raise ValueError(f"--samples must be <= {MAX_SAMPLES}, got {args.samples}")
+    t = args.type
     results = checks.run_all(t, pmax=args.pmax, seed=args.seed, samples=args.samples,
                              cap=args.cap)
     all_ok = all(r.ok for r in results)
@@ -147,6 +130,27 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+def cmd_oracle(args) -> int:
+    from . import oracle
+    t = args.type
+    if args.lambdas is not None:
+        lam = oracle.LambdaChoice(tuple(_rational("--lambdas", x)
+                                        for x in args.lambdas.split(",")))
+    else:
+        lam = oracle.LambdaChoice.default_for(t)
+    mu = _rational("--mu", args.mu) if args.mu is not None else None
+    sizes = tuple(range(1, args.sizes + 1))
+    results = oracle.oracle_suite(t, lam, mu, sizes=sizes, full=args.full or None)
+    all_ok = all(r.ok for r in results)
+    _emit_results({"type": str(t), "lambdas": [str(x) for x in lam.lambdas],
+                   "all_ok": all_ok}, results, args.format)
+    return 0 if all_ok else 1
+
+
+# Largest --samples verify takes: on a shared 2-core x86-64 host each sample
+# of the forms and cones suites costs about 0.6 ms at 5,5,5,5,5, and
+# `verify --type 5,5,5,5,5 --samples 100000` took 61 s.
+MAX_SAMPLES = 100_000
 # Largest --sizes the oracle takes: on a shared 2-core x86-64 host the full
 # (2,3,4) battery takes about 5 s at 40 and 6 s at 45 as a process.
 MAX_ORACLE_SIZES = 45
@@ -164,34 +168,76 @@ MAX_ORACLE_PAIRS = 810_000
 # refuses 2,3,7 --sizes 45 (4 s); README has the measurements.
 MAX_ORACLE_UNKNOWNS = 8 * (45 * 46 // 2) ** 2
 
+# Least and most value of each count option, by its name on args; main
+# checks every least, then every most, in this order.  None is no ceiling.
+BOUNDS = {"pmax": (1, None), "samples": (1, MAX_SAMPLES), "cap": (1, None),
+          "sizes": (1, MAX_ORACLE_SIZES)}
 
-def cmd_oracle(args) -> int:
-    from . import oracle
-    t = CanonicalType.parse(args.type)
-    _at_least_one(("--sizes", args.sizes))
-    if args.sizes > MAX_ORACLE_SIZES:
-        raise ValueError(f"--sizes must be <= {MAX_ORACLE_SIZES}, got {args.sizes}")
-    pairs = (2 * t.total) ** 2
-    if args.full and pairs > MAX_ORACLE_PAIRS:
-        raise ValueError(f"--full solves (2*{t.total})^2 = {pairs} Hom systems between "
-                         f"tube modules, more than {MAX_ORACLE_PAIRS}")
-    unknowns = t.vertex_count * (args.sizes * (args.sizes + 1) // 2) ** 2
-    if args.full and unknowns > MAX_ORACLE_UNKNOWNS:
-        raise ValueError(f"--full solves Hom systems between homogeneous modules with "
-                         f"{t.vertex_count}*({args.sizes}*{args.sizes + 1}/2)^2 = {unknowns} "
-                         f"unknowns, more than {MAX_ORACLE_UNKNOWNS}")
-    if args.lambdas is not None:
-        lam = oracle.LambdaChoice(tuple(_rational("--lambdas", x)
-                                        for x in args.lambdas.split(",")))
-    else:
-        lam = oracle.LambdaChoice.default_for(t)
-    mu = _rational("--mu", args.mu) if args.mu is not None else None
-    sizes = tuple(range(1, args.sizes + 1))
-    results = oracle.oracle_suite(t, lam, mu, sizes=sizes, full=args.full or None)
-    all_ok = all(r.ok for r in results)
-    _emit_results({"type": str(t), "lambdas": [str(x) for x in lam.lambdas],
-                   "all_ok": all_ok}, results, args.format)
-    return 0 if all_ok else 1
+
+# The work of a verify or oracle run in steps of about 0.5 us, summed over the
+# terms that carry its time as the arm count n, |m| = sum m_i, --samples and
+# --sizes grow; the weights were fitted on the host above (Python 3.11).
+def _oracle_steps(t: CanonicalType, sizes: int, full: bool) -> int:
+    """To build and check the 2|m| tube and the `sizes` homogeneous modules,
+    90 steps per module and arm and 5 per module and vertex; with `full`, 8
+    per arm for each pair of tube modules' Hom system."""
+    tube = 2 * t.total
+    return ((tube + sizes) * (90 * t.n + 5 * t.vertex_count)
+            + (8 * t.n * tube ** 2 if full else 0))
+
+
+def _verify_steps(t: CanonicalType, samples: int) -> int:
+    """pairing-e's 2|m| Euler forms of about |m| terms per sample, cross-arm's
+    Euler form per pair of tube simples, end-and-periodicity's 3*m_i^3 top
+    tests of 9 steps each, and the oracle battery at its default sizes."""
+    m = t.total
+    return (samples * 2 * m * m + m ** 3 + 27 * sum(mi ** 3 for mi in t.m)
+            + _oracle_steps(t, 3, False))
+
+
+# The most steps each admits: the count of the largest run the ceilings above
+# admit on few arms (verify 5,5,5,5,5 --samples 100000, about 61 s; oracle
+# 150,150,150 --full --sizes 1, about 9 s).  Those ceilings admit any number
+# of arms: verify 160,160,160 --samples 1 ran past 120 s, and oracle took
+# 8.4 s on 200 arms of length 2, 60 s on 100 with --full --sizes 1 and 6.9 s
+# on 400,400,400 without it.
+MAX_VERIFY_STEPS = _verify_steps(CanonicalType((5,) * 5), MAX_SAMPLES)
+MAX_ORACLE_STEPS = _oracle_steps(CanonicalType((150,) * 3), 1, True)
+
+
+def _refuse(args) -> None:
+    """Raise ValueError on the first refusal the arguments and the parsed type
+    alone decide: the count options' bounds, then oracle --full's pair and
+    unknown ceilings, then the step ceilings."""
+    given = [(name, getattr(args, name), least, most)
+             for name, (least, most) in BOUNDS.items() if hasattr(args, name)]
+    for name, value, least, _ in given:
+        if value < least:
+            raise ValueError(f"--{name} must be >= {least}, got {value}")
+    for name, value, _, most in given:
+        if most is not None and value > most:
+            raise ValueError(f"--{name} must be <= {most}, got {value}")
+    t = args.type
+    if args.command == "verify":
+        steps = _verify_steps(t, args.samples)
+        if steps > MAX_VERIFY_STEPS:
+            raise ValueError(f"verify at --samples {args.samples} counts {steps} steps of "
+                             f"work, more than {MAX_VERIFY_STEPS}")
+    elif args.command == "oracle":
+        pairs = (2 * t.total) ** 2
+        if args.full and pairs > MAX_ORACLE_PAIRS:
+            raise ValueError(f"--full solves (2*{t.total})^2 = {pairs} Hom systems between "
+                             f"tube modules, more than {MAX_ORACLE_PAIRS}")
+        unknowns = t.vertex_count * (args.sizes * (args.sizes + 1) // 2) ** 2
+        if args.full and unknowns > MAX_ORACLE_UNKNOWNS:
+            raise ValueError(f"--full solves Hom systems between homogeneous modules with "
+                             f"{t.vertex_count}*({args.sizes}*{args.sizes + 1}/2)^2 = "
+                             f"{unknowns} unknowns, more than {MAX_ORACLE_UNKNOWNS}")
+        steps = _oracle_steps(t, args.sizes, args.full)
+        if steps > MAX_ORACLE_STEPS:
+            full = " --full" if args.full else ""
+            raise ValueError(f"oracle at --sizes {args.sizes}{full} counts {steps} steps of "
+                             f"work, more than {MAX_ORACLE_STEPS}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=300,
                     help=f"vectors drawn per forms and cones check, at most {MAX_SAMPLES:,}; "
                          "a sample of all ten checks costs about 0.6 ms at 5,5,5,5,5, so "
-                         f"300 take about 0.2 s and {MAX_SAMPLES:,} about 60 s")
+                         f"300 take about 0.2 s and {MAX_SAMPLES:,} about 60 s; a run on "
+                         "long or many arms whose counted work passes that of 5,5,5,5,5 at "
+                         f"{MAX_SAMPLES:,} is refused")
 
     sp = sub.add_parser("oracle", help="matrix-level validation of the tube model")
     common(sp)
@@ -255,7 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="force the full pairwise Hom battery: one exact Hom system per "
                          "pair of the 2*|m| tube modules, refused past "
                          f"{MAX_ORACLE_PAIRS:,} pairs (|m| = 450); 120,120,120 at "
-                         "--sizes 1 takes about 5 s")
+                         "--sizes 1 takes about 5 s.  With or without it, a run on many "
+                         "arms whose counted work passes that of 150,150,150 --full "
+                         "--sizes 1 is refused")
     return parser
 
 
@@ -274,6 +324,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.type = CanonicalType.parse(args.type)
+        _refuse(args)
         code = HANDLERS[args.command](args)
         sys.stdout.flush()
         return code

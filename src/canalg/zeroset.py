@@ -14,16 +14,36 @@ q = p, and on each slice <d',h> = s the least <d',d'> is the geometry slice
 form, so one geometry._slice_minimum decides (its proof is in the geometry
 docstring); a negative minimum is attained by a triple built from the
 smallest minimizing slice, which is rechecked as a member of Z_p.  Only the
-consumers of all of Z_p enumerate it, through strata, the one reader of
-zpstream's search, which joins one walk per exceptional tube; verify's
+consumers of all of Z_p enumerate it: strata joins zpstream's search, one walk
+per exceptional tube, and checks.zeroset_suite reads the same search's key
+counts and end triples (_ArmZp.key_counts, _ArmZp.edge_triples); verify's
 enumerated checks and their window live in checks.
+
+Membership by regular simples, a test of the zero set that does not read the
+stratum model (nothing here computes it yet).  A module M of dimension vector
+p*h lies in the zero set of the semi-invariants exactly when Hom(S, M) != 0
+for every regular simple S: the sum(m_i) exceptional tube simples and one
+homogeneous simple H_mu per parameter mu.  The steps, each marked cited or
+argued:
+  - cited: for the weights that vanish on p*h the semi-invariants are
+    spanned by the determinantal c^V (Domokos-Lenzing, J. Algebra 228, 2000,
+    for canonical algebras; Derksen-Weyman, JAMS 13, 2000, for quivers);
+  - cited (same sources): c^V(M) != 0 exactly when Hom(V, M) = 0;
+  - argued: a preprojective or preinjective summand of V has nonzero rank,
+    so it pairs nonzero with p*h and the block-diagonal determinant c^V
+    vanishes; only regular V count;
+  - argued: every regular V has a regular simple quotient S, so
+    Hom(S, M) != 0 gives Hom(V, M) != 0; each S is itself such a V, which
+    gives the converse;
+  - argued: once Ext vanishes Hom(H_mu, M) is the Euler form <h, dim M>,
+    which does not read mu, so a test may try a few values of mu.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, pairwise
-from math import ceil, prod
+from itertools import pairwise
+from math import ceil
 from typing import Iterator
 
 from . import geometry
@@ -193,12 +213,13 @@ def equality_stratum_count(t: CanonicalType, p: int) -> int:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    total = 0
-    for k in range(t.n + 1):
-        n_k = sum(prod(mi - 1 for mi in combo)
-                  for combo in combinations(t.m, k))
-        total += n_k * max(0, p - k)
-    return total
+    # n_k, the offset vectors with k nonzero offsets, is the k-th elementary
+    # symmetric polynomial of the m_i - 1: the coefficient of x^k in
+    # prod_i (1 + (m_i - 1) x), multiplied out one arm at a time
+    n_k = [1]
+    for mi in t.m:
+        n_k = [a + (mi - 1) * b for a, b in zip(n_k + [0], [0] + n_k)]
+    return sum(c * max(0, p - k) for k, c in enumerate(n_k))
 
 
 def zeroset_threshold(t: CanonicalType) -> int:

@@ -178,6 +178,15 @@ def test_closed_form_decision_checked_against_stream():
         assert f"zeroset/closed-form-decision[2,2,2,p={p}]" in names
 
 
+def test_zero_set_suite_clamps_its_level_to_the_window():
+    # verify passes --pmax as given; the suite reads Z_p at p = min(pmax, BRUTE_P_LIMIT)
+    t = CanonicalType((2, 2, 2))
+    top = checks.BRUTE_P_LIMIT
+    assert checks.zeroset_suite(t, top + 3) == checks.zeroset_suite(t, top)
+    assert f"zeroset/membership-recheck[2,2,2,p<={top}]" in [
+        r.name for r in checks.zeroset_suite(t, top + 1)]
+
+
 def test_equality_strata_failure_names_a_key_that_splits():
     # verify --type 2,2,2,2 --pmax 5 fails this check, 52 flat strata against
     # 48 plus ones; the detail names the first key that splits the two

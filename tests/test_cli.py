@@ -219,6 +219,12 @@ def test_level_zero_exits_2(capsys, command):
      "--full solves Hom systems between homogeneous modules with 119*(23*24/2)^2 = 9064944 "
      "unknowns, more than 8569800"),
     (("--type", "2,3,7", "--full", "--sizes", "45"), "--full solves Hom systems between"),
+    (("--type", ",".join(["2"] * 300)),
+     "oracle at --sizes 3 counts 34297530 steps of work, more than 21706015\n"),
+    (("--type", ",".join(["2"] * 100), "--full", "--sizes", "1"),
+     "oracle at --sizes 1 --full counts 131813510 steps of work, more than 21706015\n"),
+    (("--type", "800,800,800"),
+     "oracle at --sizes 3 counts 58908795 steps of work, more than 21706015\n"),
 ])
 def test_oracle_bad_input_exits_2(capsys, extra, message):
     arms = "2,2,2,2" if "--lambdas" in extra else "2,2,2"
@@ -226,6 +232,42 @@ def test_oracle_bad_input_exits_2(capsys, extra, message):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("arms, extra, steps", [
+    ("160,160,160", ("--pmax", "1", "--samples", "1"), 445395195),
+    (",".join(["2"] * 400), (), 957016430),
+    ("6,6,6,6,6", ("--samples", "100000"), 180093015),
+], ids=["long-arms", "many-arms", "samples"])
+def test_verify_refuses_runs_past_the_step_ceiling(capsys, arms, extra, steps):
+    # refused before any suite runs: 160,160,160 ran past 120 s at --samples 1
+    code, out, err = run(capsys, "verify", "--type", arms, *extra)
+    samples = extra[-1] if extra else "300"
+    assert (code, out) == (2, "")
+    assert err == (f"error: verify at --samples {samples} counts {steps} steps of work, "
+                   "more than 125062180\n")
+
+
+def _front_door(*argv):
+    """Run main's refusals on argv, as main parses it."""
+    args = cli.build_parser().parse_args(argv)
+    args.type = CanonicalType.parse(args.type)
+    cli._refuse(args)
+
+
+def test_step_ceilings_admit_the_largest_runs_of_the_older_ceilings():
+    # the largest runs the --samples and --full pair ceilings admit on few
+    # arms set the step ceilings, so they stay admitted (61 s and 9 s; not run)
+    _front_door("verify", "--type", "5,5,5,5,5", "--samples", str(cli.MAX_SAMPLES))
+    _front_door("oracle", "--type", "150,150,150", "--full", "--sizes", "1")
+    assert cli._verify_steps(CanonicalType((5,) * 5), cli.MAX_SAMPLES) == cli.MAX_VERIFY_STEPS
+    assert cli._oracle_steps(CanonicalType((150,) * 3), 1, True) == cli.MAX_ORACLE_STEPS
+    _front_door("verify", "--type", ",".join(["2"] * 100), "--pmax", "1")  # about 13 s
+    _front_door("oracle", "--type", ",".join(["2"] * 50), "--full", "--sizes", "1")  # 8 s
+    _front_door("oracle", "--type", "400,400,400")  # 7 s
+    # 60 arms of length 2 pass the pair ceiling (57,600 pairs) but not the steps
+    with pytest.raises(ValueError, match="^oracle at --sizes 1 --full counts 29024110 steps"):
+        _front_door("oracle", "--type", ",".join(["2"] * 60), "--full", "--sizes", "1")
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
@@ -466,6 +508,22 @@ def test_subcommand_loads_only_its_modules(argv, loaded):
     assert {m for m in added if m.startswith("canalg.")} == loaded
     never = LEVEL_NEVER_LOADED if loaded == LEVEL_MODULES else NEVER_LOADED
     assert not never & set(added)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--type", "2,2,2", "--samples", "0"),
+    ("verify", "--type", "2,x"),
+    ("oracle", "--type", "2,2,2", "--sizes", "46"),
+    ("components", "--type", "2,2,2", "--p", "3", "--cap", "0"),
+    ("oracle", "--type", "40,40,40", "--full", "--sizes", "23"),
+    ("verify", "--type", "160,160,160", "--samples", "1"),
+], ids=["samples", "type", "sizes", "cap", "unknowns", "steps"])
+def test_refusal_loads_no_handler_module(argv):
+    # main refuses on the arguments and the type before a handler imports anything
+    code, *added = fresh_python(LOADED_BY_QUERY, *argv).split()
+    assert code == "2"
+    assert {m for m in added if m.startswith("canalg.")} == CLI_MODULES
+    assert not LEVEL_NEVER_LOADED & set(added)
 
 
 def test_bare_import_loads_no_submodule():

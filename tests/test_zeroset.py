@@ -1,9 +1,10 @@
 import hashlib
 import inspect
 import json
+import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import prod
 
 import pytest
@@ -106,6 +107,28 @@ def test_equality_stratum_count_values():
     assert equality_stratum_count(T222, 3) == 12
     assert equality_stratum_count(T222, 4) == 20
     assert equality_stratum_count(T237, 5) == (5 - 3) * 42 + (3 * 7 + 2 * 7 + 2 * 3)
+
+
+def _subset_stratum_count(t: CanonicalType, p: int) -> int:
+    """The parametrized count summed over the sets of arms with a nonzero offset."""
+    return sum(prod(mi - 1 for mi in arms) * max(0, p - k)
+               for k in range(t.n + 1) for arms in combinations(t.m, k))
+
+
+@pytest.mark.parametrize("arms", [(2, 2, 2), (2, 3, 7), (3, 3, 4, 5), (5,) * 5,
+                                  (2, 3, 2, 4, 6, 2)])
+def test_equality_stratum_count_is_the_subset_sum(arms):
+    t = CanonicalType(arms)
+    for p in range(1, 9):
+        assert equality_stratum_count(t, p) == _subset_stratum_count(t, p), p
+
+
+def test_equality_stratum_count_on_many_arms():
+    # 2^40 sets of arms: summed over them the count would not finish
+    t = CanonicalType((2,) * 40)
+    start = time.perf_counter()
+    assert equality_stratum_count(t, 45) == component_count_formula(t, 45)
+    assert time.perf_counter() - start < 1
 
 
 def test_components_bruteforce_matches_parametrized_count():
